@@ -9,7 +9,7 @@ import json
 import os
 import sys
 
-from .config import load_config, save_config
+from .config import load_config
 from .data import generate_synthetic, load_dataset, write_dataset, write_reports
 from .errors import ConfigError, DataError, NumericError, UsageError
 from .loop import ActiveLearningLoop
@@ -68,7 +68,6 @@ def _cmd_synth(args):
 def _cmd_ablate(args):
     base = load_config(args.config)
     dataset, test_data = _load_run_inputs(base)
-    summary = []
     for name, overrides in ABLATION_VARIANTS:
         config = dataclasses.replace(base, **overrides).validate()
         loop = ActiveLearningLoop(config, dataset, test_data=test_data)
@@ -76,7 +75,6 @@ def _cmd_ablate(args):
         out_dir = os.path.join(args.out, name)
         write_reports(reports, out_dir, config=config)
         final = reports[-1].accuracy if reports else float("nan")
-        summary.append((name, final))
         print(f"{name:12s} final_accuracy={final:.4f}")
     return 0
 

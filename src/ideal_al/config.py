@@ -65,8 +65,8 @@ class LoopConfig:
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError("gamma", "must lie in [0, 1]")
         for key in ("epsilon", "xi", "alpha", "delta", "learning_rate", "lambda_u"):
-            if getattr(self, key) <= 0:
-                raise ConfigError(key, "must be positive")
+            if not 0 < getattr(self, key) < math.inf:  # also rejects nan
+                raise ConfigError(key, "must be positive and finite")
         for key in ("k_aug", "train_steps_per_cycle", "batch_size", "init_per_class",
                     "tap_layer"):
             if getattr(self, key) < (0 if key == "tap_layer" else 1):
@@ -77,8 +77,8 @@ class LoopConfig:
             w = self.resolved_weights()
             if len(w) != self.k_aug + 1:
                 raise ConfigError("weights", f"need k_aug+1 = {self.k_aug + 1} entries")
-            if any(x < 0 for x in w) or sum(w) <= 0:
-                raise ConfigError("weights", "must be nonnegative, not all zero")
+            if not all(0 <= x < math.inf for x in w) or sum(w) <= 0:
+                raise ConfigError("weights", "must be finite, nonnegative, not all zero")
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
             raise ConfigError("hidden_sizes", "must be positive widths")
         if self.tap_layer > len(self.hidden_sizes):

@@ -8,12 +8,12 @@ only the selection rule, so paired comparisons isolate the selector.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import augment, propagator, selector
-from .errors import ConfigError, ExhaustedPoolError, UsageError
+from .errors import ConfigError, DataError, ExhaustedPoolError, UsageError
 from .model import Classifier, kl_rows, train_step
 
 
@@ -33,22 +33,43 @@ class Oracle:
 
 @dataclass
 class Pool:
-    labeled: dict            # id -> class
-    unlabeled: set           # ids
-    features: dict           # id -> normalized feature vector
+    """Every sample as one row, rows in ascending id order. `labels` holds
+    the oracle's class of a labeled row and -1 for a row not yet labeled."""
+
+    ids: np.ndarray       # (n,) int, strictly ascending
+    features: np.ndarray  # (n, d) normalized
+    labels: np.ndarray    # (n,) int, -1 = unlabeled
 
     def check(self):
-        overlap = set(self.labeled) & self.unlabeled
-        if overlap:
-            raise UsageError(f"ids in both pools: {sorted(overlap)[:5]}")
+        if not (len(self.ids) == len(self.features) == len(self.labels)):
+            raise UsageError("pool arrays differ in length")
+        if np.any(np.diff(self.ids) <= 0) or np.any(self.labels < -1):
+            raise UsageError("pool ids not strictly ascending or labels below -1")
+
+    def annotate(self, ids, oracle):
+        """Label unlabeled ids by querying the oracle for each, in order."""
+        rows = np.searchsorted(self.ids, ids)
+        if not np.array_equal(self.ids.take(rows, mode="clip"), ids):
+            raise UsageError("ids outside the pool")
+        if np.any(self.labels[rows] >= 0):
+            raise UsageError("ids already labeled")
+        self.labels[rows] = [oracle.query(sid) for sid in np.asarray(ids).tolist()]
+
+    @property
+    def labeled(self):
+        return self.ids[self.labels >= 0]
+
+    @property
+    def unlabeled(self):
+        return self.ids[self.labels < 0]
 
     @property
     def n_labeled(self):
-        return len(self.labeled)
+        return int(np.count_nonzero(self.labels >= 0))
 
     @property
     def n_unlabeled(self):
-        return len(self.unlabeled)
+        return len(self.ids) - self.n_labeled
 
 
 @dataclass
@@ -57,41 +78,38 @@ class CycleReport:
     n_labeled: int
     accuracy: float
     mean_in_total: float
-    max_in_total: float
     select_ms: float
     selected_ids: list
     strategy: str
     seed: int
 
 
-def baseline_select(strategy, records, budget, rng, labeled_reps=None):
-    """Comparator selection rules over scored records.
+def baseline_select(strategy, scores, budget, rng, labeled_reps=None):
+    """Comparator selection rules over the pool's `selector.Scores`.
 
     random: uniform without replacement; entropy: top-budget by prediction
     entropy; coreset: greedy k-center on representations, seeded by the
     labeled set's representations.
     """
-    if budget > len(records):
+    if budget > len(scores):
         raise UsageError("budget exceeds pool size")
-    ordered = sorted(records, key=lambda r: r.sample_id)
     if strategy == "random":
-        idx = rng.choice(len(ordered), size=budget, replace=False)
-        return [ordered[i].sample_id for i in sorted(idx)]
+        idx = rng.choice(len(scores), size=budget, replace=False)
+        return scores.ids[np.sort(idx)].tolist()
     if strategy == "entropy":
-        ranked = sorted(ordered, key=lambda r: (-r.entropy, r.sample_id))
-        return [r.sample_id for r in ranked[:budget]]
+        return scores.ids[selector.top_k(scores.entropy, scores.ids, budget)].tolist()
     if strategy == "coreset":
-        reps = np.stack([np.asarray(r.representation, dtype=float) for r in ordered])
+        reps = scores.reps
         if labeled_reps is not None and len(labeled_reps):
             L = np.atleast_2d(np.asarray(labeled_reps, dtype=float))
             d2 = ((reps[:, None, :] - L[None, :, :]) ** 2).sum(axis=2)
             min_dist = np.sqrt(d2.min(axis=1))
         else:
-            min_dist = np.full(len(ordered), np.inf)
+            min_dist = np.full(len(scores), np.inf)
         chosen = []
         for _ in range(budget):
             i = int(np.argmax(min_dist))  # argmax takes the lowest index on ties
-            chosen.append(ordered[i].sample_id)
+            chosen.append(int(scores.ids[i]))
             dist_new = np.linalg.norm(reps - reps[i], axis=1)
             min_dist = np.minimum(min_dist, dist_new)
             min_dist[i] = -np.inf
@@ -107,9 +125,11 @@ class ActiveLearningLoop:
         self.config = config
         self.dataset = dataset
         self.test_data = test_data if test_data is not None else dataset
+        if self.test_data.dim != dataset.dim:
+            raise DataError(f"test data has {self.test_data.dim} features, "
+                            f"the pool {dataset.dim}")
         self.oracle = Oracle(dict(zip(dataset.ids.tolist(), dataset.labels.tolist())))
         self.reports = []
-        self._root_rng = np.random.default_rng(config.seed)
         self._init_pool_rng = np.random.default_rng(
             np.random.SeedSequence([config.seed, 0xA11]).generate_state(4)
         )
@@ -120,20 +140,18 @@ class ActiveLearningLoop:
 
     def _initial_pool(self):
         ds = self.dataset
-        features = {int(i): ds.features[k] for k, i in enumerate(ds.ids)}
-        labeled = {}
+        order = np.argsort(ds.ids, kind="stable")
+        pool = Pool(ids=ds.ids[order], features=ds.features[order],
+                    labels=np.full(len(ds), -1))
+        classes = ds.labels[order]
         rng = self._init_pool_rng
         for c in range(ds.n_classes):
-            class_ids = sorted(int(i) for i, y in zip(ds.ids, ds.labels) if y == c)
-            if len(class_ids) < self.config.init_per_class:
+            rows = np.flatnonzero(classes == c)
+            if len(rows) < self.config.init_per_class:
                 raise UsageError(f"class {c} has too few samples to seed the pool")
-            picks = rng.choice(len(class_ids), size=self.config.init_per_class,
+            picks = rng.choice(len(rows), size=self.config.init_per_class,
                                replace=False)
-            for p in picks:
-                sid = class_ids[int(p)]
-                labeled[sid] = self.oracle.query(sid)
-        unlabeled = {int(i) for i in ds.ids} - set(labeled)
-        pool = Pool(labeled=labeled, unlabeled=unlabeled, features=features)
+            pool.annotate(pool.ids[rows[picks]], self.oracle)
         pool.check()
         return pool
 
@@ -155,27 +173,22 @@ class ActiveLearningLoop:
 
     # -- SSL training phase -------------------------------------------
 
-    def _one_hot(self, y):
-        out = np.zeros(self.dataset.n_classes)
-        out[y] = 1.0
-        return out
-
     def _train_phase(self, rng):
         cfg = self.config
         if cfg.cold_start:
             self.model = self._initial_model()
-        labeled_ids = sorted(self.pool.labeled)
-        unlabeled_ids = sorted(self.pool.unlabeled)
-        Xl_all = np.stack([self.pool.features[i] for i in labeled_ids])
-        Yl_all = np.stack([self._one_hot(self.pool.labeled[i]) for i in labeled_ids])
-        Xu_all = (np.stack([self.pool.features[i] for i in unlabeled_ids])
-                  if unlabeled_ids else None)
+        pool = self.pool
+        is_labeled = pool.labels >= 0
+        Xl_all = pool.features[is_labeled]
+        Yl_all = np.eye(self.dataset.n_classes)[pool.labels[is_labeled]]
+        Xu_all = pool.features[~is_labeled]
+        n_l = len(Xl_all)
         w = np.asarray(cfg.resolved_weights())
         for _ in range(cfg.train_steps_per_cycle):
-            bl = rng.choice(len(labeled_ids), size=min(cfg.batch_size, len(labeled_ids)),
-                            replace=len(labeled_ids) < cfg.batch_size)
+            bl = rng.choice(n_l, size=min(cfg.batch_size, n_l),
+                            replace=n_l < cfg.batch_size)
             Xl, Yl = Xl_all[bl], Yl_all[bl]
-            if Xu_all is not None and len(Xu_all):
+            if len(Xu_all):
                 bu = rng.choice(len(Xu_all), size=min(cfg.batch_size, len(Xu_all)),
                                 replace=False)
                 Xu = Xu_all[bu]
@@ -218,10 +231,11 @@ class ActiveLearningLoop:
 
     def _score_pool(self, rng):
         """Fresh-draw inconsistency + entropy scoring of every unlabeled
-        sample. Returns ScoreRecords sorted by id."""
+        sample, as `selector.Scores` in ascending id order."""
         cfg = self.config
-        ids = sorted(self.pool.unlabeled)
-        X = np.stack([self.pool.features[i] for i in ids])
+        unlabeled = self.pool.labels < 0
+        ids = self.pool.ids[unlabeled]
+        X = self.pool.features[unlabeled]
         P_orig = self.model.predict(X)
         A = augment.coarse_augment_batch(X, cfg.k_aug, cfg.delta, rng)
         flat = A.reshape(-1, A.shape[-1])
@@ -231,8 +245,8 @@ class ActiveLearningLoop:
         if cfg.disable_coarse:
             in_coa = np.zeros(len(ids))
         else:
-            stacked = np.concatenate([P_orig[:, None, :], P_bar], axis=1)
-            in_coa = stacked.var(axis=1).sum(axis=1)
+            in_coa = selector.coarse_inconsistency(
+                np.concatenate([P_orig[:, None, :], P_bar], axis=1))
 
         if cfg.disable_fine:
             in_fin = np.zeros(len(ids))
@@ -249,70 +263,46 @@ class ActiveLearningLoop:
             gamma = 0.0
         elif cfg.disable_fine and not cfg.disable_coarse:
             gamma = 1.0
-        phi_coa = selector.percentiles(in_coa)
-        phi_fin = selector.percentiles(in_fin)
-        in_total = gamma * phi_coa + (1.0 - gamma) * phi_fin
-        ent = selector.entropy_rows(P_orig)
-        reps = self.model.tap_representation(X)
-        return [
-            selector.ScoreRecord(
-                sample_id=ids[i], in_coa=float(in_coa[i]), in_fin=float(in_fin[i]),
-                phi_coa=float(phi_coa[i]), phi_fin=float(phi_fin[i]),
-                in_total=float(in_total[i]), entropy=float(ent[i]),
-                representation=reps[i],
-            )
-            for i in range(len(ids))
-        ]
+        in_total = selector.total_inconsistency(
+            selector.percentiles(in_coa), selector.percentiles(in_fin), gamma)
+        return selector.Scores(ids=ids, in_total=in_total,
+                               entropy=selector.entropy_rows(P_orig),
+                               reps=self.model.tap_representation(X))
 
     def _entropy_records(self):
-        """Cheap records (entropy + representation only) for the baselines."""
-        ids = sorted(self.pool.unlabeled)
-        X = np.stack([self.pool.features[i] for i in ids])
-        P = self.model.predict(X)
-        ent = selector.entropy_rows(P)
-        reps = self.model.tap_representation(X)
-        return [
-            selector.ScoreRecord(sample_id=ids[i], entropy=float(ent[i]),
-                                 representation=reps[i])
-            for i in range(len(ids))
-        ]
+        """Cheap scores (entropy + representation, zero inconsistency) for
+        the baselines and the ranker-free ablation."""
+        unlabeled = self.pool.labels < 0
+        X = self.pool.features[unlabeled]
+        return selector.Scores(ids=self.pool.ids[unlabeled], in_total=np.zeros(len(X)),
+                               entropy=selector.entropy_rows(self.model.predict(X)),
+                               reps=self.model.tap_representation(X))
 
     def _select_phase(self, rngs):
         cfg = self.config
-        strategy = cfg.strategy
-        records = None
-        if strategy == "ideal":
-            if cfg.disable_ranker and cfg.disable_reranker:
-                # nothing left of the selector: collapse to the random
-                # baseline on the same stream
-                records = self._entropy_records()
-                return baseline_select("random", records, cfg.budget,
-                                       rngs["select"]), records
-            if cfg.disable_ranker:
-                records = self._entropy_records()
-                n = len(records)
-                for r in records:
-                    r.in_total = 0.0
-                selected = selector.select(records, n, cfg.budget,
-                                           use_density=not cfg.disable_density)
-                return selected, records
-            records = self._score_pool(rngs["score"])
+        use_density = not cfg.disable_density
+        if cfg.strategy == "ideal" and not cfg.disable_ranker:
+            scores = self._score_pool(rngs["score"])
             if cfg.disable_reranker:
-                ranked = sorted(records, key=lambda r: (-r.in_total, r.sample_id))
-                return [r.sample_id for r in ranked[: cfg.budget]], records
-            m = cfg.resolved_m_cand(len(records))
-            selected = selector.select(records, m, cfg.budget,
-                                       use_density=not cfg.disable_density)
-            return selected, records
-        records = self._entropy_records()
+                top = selector.top_k(scores.in_total, scores.ids, cfg.budget)
+                return scores.ids[top].tolist(), scores
+            m = cfg.resolved_m_cand(len(scores))
+            return selector.select(scores, m, cfg.budget, use_density=use_density), scores
+        scores = self._entropy_records()
+        if cfg.strategy == "ideal" and not cfg.disable_reranker:
+            # no ranker: every unlabeled sample is a re-ranking candidate
+            return selector.select(scores, len(scores), cfg.budget,
+                                   use_density=use_density), scores
+        # with both stages off, ideal collapses to the random baseline on the
+        # same stream
+        strategy = "random" if cfg.strategy == "ideal" else cfg.strategy
         labeled_reps = None
         if strategy == "coreset":
-            labeled_ids = sorted(self.pool.labeled)
             labeled_reps = self.model.tap_representation(
-                np.stack([self.pool.features[i] for i in labeled_ids]))
-        selected = baseline_select(strategy, records, cfg.budget,
+                self.pool.features[self.pool.labels >= 0])
+        selected = baseline_select(strategy, scores, cfg.budget,
                                    rngs["select"], labeled_reps=labeled_reps)
-        return selected, records
+        return selected, scores
 
     # -- evaluation ----------------------------------------------------
 
@@ -331,20 +321,16 @@ class ActiveLearningLoop:
         rngs = self._cycle_rngs(t)
         self._train_phase(rngs["train"])
         t0 = time.perf_counter()
-        selected, records = self._select_phase(rngs)
+        selected, scores = self._select_phase(rngs)
         select_ms = (time.perf_counter() - t0) * 1000.0
-        for sid in selected:
-            self.pool.labeled[sid] = self.oracle.query(sid)
-            self.pool.unlabeled.discard(sid)
+        self.pool.annotate(selected, self.oracle)
         self.pool.check()
-        totals = [r.in_total for r in records] if records else []
         has_rank = cfg.strategy == "ideal" and not cfg.disable_ranker
         report = CycleReport(
             cycle=t,
             n_labeled=self.pool.n_labeled,
             accuracy=self.accuracy(),
-            mean_in_total=float(np.mean(totals)) if has_rank and totals else None,
-            max_in_total=float(np.max(totals)) if has_rank and totals else None,
+            mean_in_total=float(np.mean(scores.in_total)) if has_rank else None,
             select_ms=select_ms,
             selected_ids=list(selected),
             strategy=cfg.strategy,

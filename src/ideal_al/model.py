@@ -90,10 +90,6 @@ class Classifier:
         return self.weights[0].shape[0]
 
     @property
-    def class_count(self):
-        return self.weights[-1].shape[1]
-
-    @property
     def n_layers(self):
         return len(self.weights)
 

@@ -20,24 +20,37 @@ NORM_FLOOR = 1e-12
 
 
 @dataclass
-class ScoreRecord:
-    sample_id: object
-    in_coa: float = 0.0
-    in_fin: float = 0.0
-    phi_coa: float = 0.0
-    phi_fin: float = 0.0
-    in_total: float = 0.0
-    entropy: float = 0.0
-    density_entropy: float = None
-    representation: np.ndarray = None
+class Scores:
+    """Selection scores as parallel arrays, rows in ascending id order."""
+
+    ids: np.ndarray       # (n,) int
+    in_total: np.ndarray  # (n,) fused inconsistency; zeros when unranked
+    entropy: np.ndarray   # (n,) prediction entropy
+    reps: np.ndarray      # (n, h) representations at the tap layer
+
+    def __post_init__(self):
+        if not (len(self.ids) == len(self.in_total) == len(self.entropy) == len(self.reps)):
+            raise InputShapeError("score arrays differ in length")
+        if np.any(np.diff(self.ids) <= 0):
+            raise UsageError("score ids are not strictly ascending")
+
+    def __len__(self):
+        return len(self.ids)
+
+
+def top_k(key, ids, k):
+    """Indices of the k largest keys, ties broken by ascending id."""
+    return np.lexsort((ids, -np.asarray(key)))[:k]
 
 
 def coarse_inconsistency(preds):
-    """Summed per-class population variance over the K+1 predictions."""
+    """Summed per-class population variance over the K+1 predictions, row-wise
+    over leading axes: (..., K+1, C) -> (...), a float for one sample."""
     P = np.atleast_2d(np.asarray(preds, dtype=float))
-    if len(P) < 2:
+    if P.shape[-2] < 2:
         raise UsageError("need the original plus at least one augmented prediction")
-    return float(P.var(axis=0).sum())
+    out = P.var(axis=-2).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def fine_inconsistency(coarse_preds, perturbed_preds):
@@ -68,7 +81,7 @@ def percentiles(values):
 
 
 def total_inconsistency(phi_coa, phi_fin, gamma):
-    """Convex fusion of the two percentile criteria."""
+    """Convex fusion of the two percentile criteria, elementwise."""
     if not 0.0 <= gamma <= 1.0:
         raise UsageError(f"gamma {gamma} outside [0, 1]")
     return gamma * phi_coa + (1.0 - gamma) * phi_fin
@@ -128,7 +141,7 @@ def density_aware_entropy(target_rep, target_entropy, candidate_reps):
     return float(target_entropy * sims.mean())
 
 
-def _density_factors(reps):
+def density_factors(reps):
     """Mean pairwise cosine similarity of each row to the whole set."""
     norms = np.linalg.norm(reps, axis=1)
     good = norms > NORM_FLOOR
@@ -146,21 +159,20 @@ def _density_factors(reps):
     return factors
 
 
-def select(records, m_cand, budget, use_density=True):
+def select(scores, m_cand, budget, use_density=True):
     """Two-stage selection: top-m_cand by fused inconsistency, then top-budget
     by density-aware entropy computed over exactly that candidate set.
 
-    Ties break by ascending sample id at both stages. Mutates the chosen
-    records' density_entropy fields. Returns the selected ids in rank order.
+    Ties break by ascending sample id at both stages. Returns the selected
+    ids in rank order.
     """
     if budget > m_cand:
         raise UsageError(f"budget {budget} exceeds candidate size {m_cand}")
-    if m_cand > len(records):
-        raise UsageError(f"m_cand {m_cand} exceeds pool size {len(records)}")
-    stage1 = sorted(records, key=lambda r: (-r.in_total, r.sample_id))[:m_cand]
-    reps = np.stack([np.asarray(r.representation, dtype=float) for r in stage1])
-    factors = _density_factors(reps) if use_density else np.ones(len(stage1))
-    for r, f in zip(stage1, factors):
-        r.density_entropy = float(r.entropy * f)
-    stage2 = sorted(stage1, key=lambda r: (-r.density_entropy, r.sample_id))[:budget]
-    return [r.sample_id for r in stage2]
+    if m_cand > len(scores):
+        raise UsageError(f"m_cand {m_cand} exceeds pool size {len(scores)}")
+    cand = top_k(scores.in_total, scores.ids, m_cand)
+    ids = scores.ids[cand]
+    density_entropy = scores.entropy[cand]
+    if use_density:
+        density_entropy = density_entropy * density_factors(scores.reps[cand])
+    return ids[top_k(density_entropy, ids, budget)].tolist()

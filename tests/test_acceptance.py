@@ -6,6 +6,7 @@ read the captured output). The heavier directional experiments (criteria 07
 and 08) share one cached benchmark run, see `benchmark_results`.
 """
 
+import dataclasses
 import time
 import tracemalloc
 
@@ -20,7 +21,7 @@ from ideal_al.loop import ActiveLearningLoop, run
 from ideal_al.model import Classifier, grad_wrt_input, kl_divergence
 from ideal_al.propagator import guess_label, mix_pair, sample_lambda
 from ideal_al.selector import (
-    ScoreRecord,
+    Scores,
     coarse_inconsistency,
     entropy,
     fine_inconsistency,
@@ -129,25 +130,26 @@ def test_criterion_03_inconsistency_oracles():
                     abs(coarse_inconsistency(P) - naive_coa),
                     abs(fine_inconsistency(P, Q) - naive_fin))
     identical = rng.dirichlet(np.ones(3))
+    # the row-wise form the loop scores the pool with: leading axes are samples
+    P = rng.dirichlet(np.ones(4), size=(10, 30, 3))
+    naive_rows = [[sum(np.mean((P[a, b, :, j] - P[a, b, :, j].mean()) ** 2)
+                       for j in range(4)) for b in range(30)] for a in range(10)]
+    worst = max(worst, np.abs(coarse_inconsistency(P) - naive_rows).max())
     zeros_ok = (coarse_inconsistency([identical] * 4) == 0.0
                 and fine_inconsistency([identical] * 4, [identical] * 4) == 0.0)
     report(3, "inconsistency vs brute force",
            worst < 1e-10 and zeros_ok,
-           f"1000 instances, worst abs err {worst:.2e}")
+           f"1000 instances + 300 rows, worst abs err {worst:.2e}")
 
 
 # -- criterion 4: monotone transforms leave percentile ranks untouched ---
 
-def _records_from_raw(raw_coa, raw_fin, entropies, reps, gamma=0.4):
+def _scores_from_raw(raw_coa, raw_fin, entropies, reps, gamma=0.4):
     phi_c = percentiles(raw_coa)
     phi_f = percentiles(raw_fin)
-    return phi_c, phi_f, [
-        ScoreRecord(sample_id=i,
-                    in_total=total_inconsistency(phi_c[i], phi_f[i], gamma),
-                    entropy=float(entropies[i]),
-                    representation=reps[i])
-        for i in range(len(raw_coa))
-    ]
+    return phi_c, phi_f, Scores(ids=np.arange(len(raw_coa)),
+                                in_total=total_inconsistency(phi_c, phi_f, gamma),
+                                entropy=entropies, reps=reps)
 
 
 def test_criterion_04_percentile_rank_invariance():
@@ -158,13 +160,13 @@ def test_criterion_04_percentile_rank_invariance():
         raw_fin = rng.uniform(0, 3, 200)
         ent = rng.uniform(0, np.log(3), 200)
         reps = rng.uniform(0.1, 1.0, (200, 6))
-        phi_c0, phi_f0, rec0 = _records_from_raw(raw_coa, raw_fin, ent, reps)
-        phi_c1, phi_f1, rec1 = _records_from_raw(raw_coa ** 3 + raw_coa,
-                                                 raw_fin ** 3 + raw_fin, ent, reps)
+        phi_c0, phi_f0, sc0 = _scores_from_raw(raw_coa, raw_fin, ent, reps)
+        phi_c1, phi_f1, sc1 = _scores_from_raw(raw_coa ** 3 + raw_coa,
+                                               raw_fin ** 3 + raw_fin, ent, reps)
         ok &= np.array_equal(phi_c0, phi_c1)
         ok &= np.array_equal(phi_f0, phi_f1)
-        ok &= all(a.in_total == b.in_total for a, b in zip(rec0, rec1))
-        ok &= select(rec0, 60, 20) == select(rec1, 60, 20)
+        ok &= np.array_equal(sc0.in_total, sc1.in_total)
+        ok &= select(sc0, 60, 20) == select(sc1, 60, 20)
         if not ok:
             break
     report(4, "rank invariance under x^3 + x", ok, "100 pools of 200")
@@ -172,17 +174,18 @@ def test_criterion_04_percentile_rank_invariance():
 
 # -- criterion 5: two-stage selection vs full-sort oracle ----------------
 
-def full_sort_two_stage(records, m_cand, budget):
+def full_sort_two_stage(scores, m_cand, budget):
     """Independent oracle: complete sorts plus explicit pairwise density."""
-    stage1 = sorted(records, key=lambda r: (-r.in_total, r.sample_id))[:m_cand]
+    rows = sorted(range(len(scores)),
+                  key=lambda i: (-scores.in_total[i], scores.ids[i]))[:m_cand]
     scored = []
-    for r in stage1:
+    for i in rows:
         sims = []
-        for other in stage1:
-            u = np.asarray(r.representation, dtype=float)
-            v = np.asarray(other.representation, dtype=float)
+        for j in rows:
+            u = np.asarray(scores.reps[i], dtype=float)
+            v = np.asarray(scores.reps[j], dtype=float)
             sims.append(float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v))))
-        scored.append((r.sample_id, r.entropy * sum(sims) / len(sims)))
+        scored.append((int(scores.ids[i]), scores.entropy[i] * sum(sims) / len(sims)))
     scored.sort(key=lambda t: (-t[1], t[0]))
     return [sid for sid, _ in scored[:budget]]
 
@@ -194,26 +197,25 @@ def test_criterion_05_two_stage_selection_equivalence():
         n = int(rng.integers(30, 501))
         budget = int(rng.integers(1, 16))
         m_cand = int(rng.integers(budget, n + 1))
-        records = []
+        in_total, ent, reps = [], [], []
         for i in range(n):
             p = rng.dirichlet(np.ones(3))
-            records.append(ScoreRecord(sample_id=i,
-                                       in_total=float(rng.uniform(0, 1)),
-                                       entropy=entropy(p),
-                                       representation=rng.uniform(0.1, 1.0, 5)))
-        ok &= select(records, m_cand, budget) == full_sort_two_stage(
-            records, m_cand, budget)
+            in_total.append(float(rng.uniform(0, 1)))
+            ent.append(entropy(p))
+            reps.append(rng.uniform(0.1, 1.0, 5))
+        scores = Scores(ids=np.arange(n), in_total=np.array(in_total),
+                        entropy=np.array(ent), reps=np.array(reps))
+        ok &= select(scores, m_cand, budget) == full_sort_two_stage(
+            scores, m_cand, budget)
 
         # endpoint m_cand == budget: only inconsistency decides
-        by_in = sorted(records, key=lambda r: (-r.in_total, r.sample_id))
-        ok &= set(select(records, budget, budget)) == {
-            r.sample_id for r in by_in[:budget]}
+        by_in = sorted(range(n), key=lambda i: (-in_total[i], i))
+        ok &= set(select(scores, budget, budget)) == set(by_in[:budget])
 
         # endpoint m_cand == pool size: inconsistency must not matter
-        got_full = select(records, n, budget)
-        for r in records:
-            r.in_total = 0.0
-        ok &= got_full == select(records, n, budget)
+        got_full = select(scores, n, budget)
+        ok &= got_full == select(dataclasses.replace(scores, in_total=np.zeros(n)),
+                                 n, budget)
         if not ok:
             break
     report(5, "two-stage oracle incl. endpoints", ok, "100 pools, N <= 500")
@@ -231,7 +233,7 @@ def test_criterion_06_pool_bookkeeping_ten_cycles():
     all_selected = []
     for t in range(10):
         rep = loop.run_cycle(t)
-        ok &= not set(loop.pool.labeled) & loop.pool.unlabeled
+        ok &= not set(loop.pool.labeled) & set(loop.pool.unlabeled)
         ok &= loop.pool.n_labeled + loop.pool.n_unlabeled == len(ds)
         all_selected.extend(rep.selected_ids)
     ok &= loop.pool.n_labeled == initial + 10 * cfg.budget
@@ -356,8 +358,8 @@ def one_scoring_pass(n, seed):
     rng = np.random.default_rng(seed)
     tracemalloc.start()
     t0 = time.perf_counter()
-    records = loop._score_pool(rng)
-    select(records, cfg.resolved_m_cand(len(records)), cfg.budget)
+    scores = loop._score_pool(rng)
+    select(scores, cfg.resolved_m_cand(len(scores)), cfg.budget)
     elapsed = time.perf_counter() - t0
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()

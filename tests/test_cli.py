@@ -79,6 +79,25 @@ class TestRun:
         cfg = make_config(tmp_path, tmp_path / "absent.csv")
         assert main(["run", "--config", str(cfg)]) == 3
 
+    def test_non_finite_config_value(self, tmp_path, capsys):
+        cfg = make_config(tmp_path, make_dataset(tmp_path))
+        cfg.write_text(cfg.read_text().replace("epsilon = 0.1", "epsilon = nan"))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "epsilon" in capsys.readouterr().err
+
+    def test_test_data_width_mismatch_fails_before_training(self, tmp_path, capsys):
+        pool = make_dataset(tmp_path)
+        test = tmp_path / "test.csv"
+        assert main(["synth", "--classes", "2", "--clusters", "2", "--per-class", "10",
+                     "--noise", "0.1", "--seed", "1", "--dim", "3",
+                     "--out", str(test)]) == 0
+        cfg = make_config(tmp_path, pool, test_dataset=str(test))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert "cycle=" not in out
+        assert "data error" in err
+
 
 class TestAblateAndReport:
     def test_ablate_lattice_and_report(self, tmp_path, capsys):

@@ -102,7 +102,7 @@ class TestGenerateSynthetic:
 def fake_reports(n):
     return [
         CycleReport(cycle=t, n_labeled=4 + 5 * (t + 1), accuracy=0.5 + 0.01 * t,
-                    mean_in_total=0.4, max_in_total=0.9, select_ms=1.5,
+                    mean_in_total=0.4, select_ms=1.5,
                     selected_ids=[t * 10 + i for i in range(5)],
                     strategy="ideal", seed=3)
         for t in range(n)

@@ -1,0 +1,109 @@
+"""Golden trace: the loop's observable behaviour, pinned across commits.
+
+Every strategy, every ablation flag, both stages off at once, `tap_layer=1`
+and `cold_start` run on two small datasets: one in id order, and a subset
+with shuffled rows and non-contiguous ids, so that row order differs from id
+order. Each run's fingerprint is its initial labeled ids, per cycle the
+selected ids and the exact `repr` of `accuracy` and `mean_in_total`, and the
+exact `repr` of the final model's summed absolute weights. It is compared
+with the committed `golden_trace.json`.
+
+A change that is only a refactor leaves the fixture as it is. A change that
+alters behaviour on purpose (RNG consumption, a formula) regenerates it with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+and says so.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ideal_al.config import LoopConfig
+from ideal_al.data import synthetic_dataset
+from ideal_al.loop import ActiveLearningLoop
+
+FIXTURE = Path(__file__).with_name("golden_trace.json")
+
+BASE = dict(budget=4, cycles=3, train_steps_per_cycle=30, seed=7, k_aug=2,
+            batch_size=8, hidden_sizes=(8, 6), init_per_class=2, learning_rate=0.3)
+
+VARIANTS = {
+    "ideal": {},
+    "random": {"strategy": "random"},
+    "entropy": {"strategy": "entropy"},
+    "coreset": {"strategy": "coreset"},
+    "no_ranker": {"disable_ranker": True},
+    "no_reranker": {"disable_reranker": True},
+    "no_coarse": {"disable_coarse": True},
+    "no_fine": {"disable_fine": True},
+    "no_density": {"disable_density": True},
+    "no_ranker_no_reranker": {"disable_ranker": True, "disable_reranker": True},
+    "tap_layer_1": {"tap_layer": 1},
+    "cold_start": {"cold_start": True},
+}
+
+
+def datasets():
+    ordered = synthetic_dataset(3, 2, 30, noise=0.08, seed=21, dim=3)
+    # shuffled rows, and dropping a quarter leaves gaps in the ids
+    rows = np.random.default_rng(5).permutation(len(ordered))[: 3 * len(ordered) // 4]
+    return {"ordered": ordered, "shuffled": ordered.subset(rows)}
+
+
+def fingerprint(variant, dataset):
+    config = LoopConfig(**{**BASE, **VARIANTS[variant]})
+    loop = ActiveLearningLoop(config, dataset)
+    initial = list(loop.oracle.audit)
+    reports = loop.run()
+    return {
+        "initial_ids": [int(i) for i in initial],
+        "cycles": [
+            {"selected_ids": [int(i) for i in rep.selected_ids],
+             "accuracy": repr(rep.accuracy),
+             "mean_in_total": repr(rep.mean_in_total)}
+            for rep in reports
+        ],
+        "weight_sum": repr(float(sum(np.abs(W).sum() + np.abs(b).sum() for W, b
+                                     in zip(loop.model.weights, loop.model.biases)))),
+    }
+
+
+def trace():
+    return {f"{name}/{variant}": fingerprint(variant, ds)
+            for name, ds in datasets().items() for variant in VARIANTS}
+
+
+@pytest.fixture(scope="module")
+def current():
+    return trace()
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(FIXTURE.read_text(encoding="utf-8"))
+
+
+def test_fixture_covers_every_run(current, golden):
+    assert sorted(golden) == sorted(current)
+
+
+@pytest.mark.parametrize("dataset", ["ordered", "shuffled"])
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_trace_matches_golden(current, golden, dataset, variant):
+    key = f"{dataset}/{variant}"
+    assert current[key] == golden[key]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    runs = sorted(trace().items())
+    FIXTURE.write_text("{\n" + ",\n".join(
+        f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}" for k, v in runs) + "\n}\n",
+        encoding="utf-8")
+    print(f"wrote {FIXTURE}")

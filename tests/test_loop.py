@@ -6,9 +6,9 @@ from scipy import stats
 
 from ideal_al.config import LoopConfig
 from ideal_al.data import synthetic_dataset
-from ideal_al.errors import ConfigError, ExhaustedPoolError, UsageError
-from ideal_al.loop import ActiveLearningLoop, Oracle, baseline_select, run
-from ideal_al.selector import ScoreRecord, select
+from ideal_al.errors import ConfigError, DataError, ExhaustedPoolError, UsageError
+from ideal_al.loop import ActiveLearningLoop, Oracle, Pool, baseline_select, run
+from ideal_al.selector import Scores, select
 
 
 def small_dataset(seed=0, per_class=60, dim=4):
@@ -46,8 +46,9 @@ class TestBaselineSelect:
     def _records(self, entropies, reps=None):
         n = len(entropies)
         reps = reps if reps is not None else [[float(i)] for i in range(n)]
-        return [ScoreRecord(sample_id=i, entropy=e, representation=np.asarray(r, dtype=float))
-                for i, (e, r) in enumerate(zip(entropies, reps))]
+        return Scores(ids=np.arange(n), in_total=np.zeros(n),
+                      entropy=np.asarray(entropies, dtype=float),
+                      reps=np.asarray(reps, dtype=float))
 
     def test_entropy_picks_uniform_sample(self):
         records = self._records([0.0, 0.0, np.log(2), 0.0])
@@ -82,7 +83,7 @@ class TestPoolBookkeeping:
         assert loop.pool.n_labeled == n0 + 5
         assert loop.pool.n_unlabeled == len(ds) - n0 - 5
         assert rep.n_labeled == n0 + 5
-        assert not set(loop.pool.labeled) & loop.pool.unlabeled
+        assert not set(loop.pool.labeled) & set(loop.pool.unlabeled)
 
     def test_pool_conservation_and_disjoint_selection(self):
         ds = small_dataset()
@@ -110,6 +111,51 @@ class TestPoolBookkeeping:
         loop.run()
         authorized = set(loop.pool.labeled)
         assert set(loop.oracle.audit) == authorized
+
+    def test_pool_rows_follow_ids_not_file_order(self):
+        ds = small_dataset()
+        shuffled = ds.subset(np.random.default_rng(2).permutation(len(ds))[:90])
+        loop = ActiveLearningLoop(fast_config(), shuffled)
+        pool = loop.pool
+        assert pool.ids.tolist() == sorted(shuffled.ids.tolist())
+        row_of = {int(i): k for k, i in enumerate(shuffled.ids)}
+        for k, sid in enumerate(pool.ids.tolist()):
+            assert np.array_equal(pool.features[k], shuffled.features[row_of[sid]])
+            if pool.labels[k] >= 0:
+                assert pool.labels[k] == shuffled.labels[row_of[sid]]
+        assert pool.labeled.tolist() == sorted(loop.oracle.audit)
+
+
+class TestPool:
+    def _pool(self):
+        return Pool(ids=np.array([2, 5, 9]), features=np.zeros((3, 2)),
+                    labels=np.array([-1, 1, -1]))
+
+    def test_annotate_queries_in_order(self):
+        pool, oracle = self._pool(), Oracle({2: 0, 5: 1, 9: 1})
+        pool.annotate([9, 2], oracle)
+        assert oracle.audit == [9, 2]
+        assert pool.labels.tolist() == [0, 1, 1]
+        assert pool.n_labeled == 3 and pool.n_unlabeled == 0
+
+    def test_annotate_rejects_unknown_id(self):
+        pool, oracle = self._pool(), Oracle({2: 0, 5: 1, 9: 1, 11: 0})
+        for bad in ([3], [11], [1]):
+            with pytest.raises(UsageError):
+                pool.annotate(bad, oracle)
+        assert oracle.audit == []
+
+    def test_annotate_rejects_relabel(self):
+        pool, oracle = self._pool(), Oracle({2: 0, 5: 1, 9: 1})
+        with pytest.raises(UsageError):
+            pool.annotate([2, 5], oracle)
+        assert oracle.audit == []
+
+    def test_check_rejects_unsorted_ids(self):
+        pool = self._pool()
+        pool.ids = np.array([2, 9, 5])
+        with pytest.raises(UsageError):
+            pool.check()
 
 
 class TestDeterminism:
@@ -157,12 +203,12 @@ class TestAblations:
         loop = ActiveLearningLoop(cfg, ds)
         rngs = loop._cycle_rngs(0)
         loop._train_phase(rngs["train"])
-        pool_records = loop._entropy_records()
-        expected = select(pool_records, len(pool_records), cfg.budget)
-        selected, records = loop._select_phase(rngs)
-        assert len(pool_records) == loop.pool.n_unlabeled
+        pool_scores = loop._entropy_records()
+        expected = select(pool_scores, len(pool_scores), cfg.budget)
+        selected, scores = loop._select_phase(rngs)
+        assert len(pool_scores) == loop.pool.n_unlabeled
         assert selected == expected
-        assert [r.sample_id for r in records] == [r.sample_id for r in pool_records]
+        assert np.array_equal(scores.ids, pool_scores.ids)
 
         rep = ActiveLearningLoop(cfg, ds).run_cycle(0)
         assert rep.selected_ids == expected
@@ -173,9 +219,9 @@ class TestRandomUniformity:
     def test_chi_square_over_seeds(self):
         # a 20-sample pool, B=2, 1000 seeded selections: the per-id selection
         # counts should be consistent with uniform sampling
-        records = [ScoreRecord(sample_id=i, entropy=0.5,
-                               representation=np.array([1.0, float(i)]))
-                   for i in range(20)]
+        records = Scores(ids=np.arange(20), in_total=np.zeros(20),
+                         entropy=np.full(20, 0.5),
+                         reps=np.column_stack([np.ones(20), np.arange(20.0)]))
         counts = np.zeros(20)
         for seed in range(1000):
             picked = baseline_select("random", records, 2,
@@ -205,3 +251,22 @@ class TestConfigValidation:
     def test_bad_strategy(self):
         with pytest.raises(ConfigError):
             LoopConfig(strategy="vaal").validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("key", ["epsilon", "xi", "alpha", "delta",
+                                     "learning_rate", "lambda_u", "gamma"])
+    def test_non_finite_rejected(self, key, value):
+        with pytest.raises(ConfigError):
+            LoopConfig(**{key: value}).validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, value):
+        with pytest.raises(ConfigError):
+            LoopConfig(k_aug=2, weights=(1.0, value, 1.0)).validate()
+
+
+class TestInputs:
+    def test_test_data_width_mismatch(self):
+        with pytest.raises(DataError):
+            ActiveLearningLoop(fast_config(), small_dataset(dim=4),
+                               test_data=small_dataset(dim=3))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,15 +9,17 @@ from hypothesis import strategies as st
 from ideal_al.errors import DegenerateVectorError, InputShapeError, UsageError
 from ideal_al.model import kl_divergence
 from ideal_al.selector import (
-    ScoreRecord,
+    Scores,
     coarse_inconsistency,
     cosine_similarity,
     density_aware_entropy,
+    density_factors,
     entropy,
     fine_inconsistency,
     percentile,
     percentiles,
     select,
+    top_k,
     total_inconsistency,
 )
 
@@ -44,6 +47,18 @@ class TestCoarseInconsistency:
                 np.mean((P[:, c] - P[:, c].mean()) ** 2) for c in range(4)
             )
             assert coarse_inconsistency(P) == pytest.approx(naive, abs=1e-12)
+
+    def test_rowwise_over_leading_axes(self):
+        P = np.random.default_rng(3).dirichlet(np.ones(3), size=(4, 6, 5))
+        got = coarse_inconsistency(P)
+        assert got.shape == (4, 6)
+        for a in range(4):
+            for b in range(6):
+                assert got[a, b] == coarse_inconsistency(P[a, b])
+
+    def test_rowwise_too_few(self):
+        with pytest.raises(UsageError):
+            coarse_inconsistency(np.full((10, 1, 2), 0.5))
 
 
 class TestFineInconsistency:
@@ -118,6 +133,15 @@ class TestTotalInconsistency:
         with pytest.raises(UsageError):
             total_inconsistency(0.5, 0.5, 1.2)
 
+    def test_rowwise_matches_single(self):
+        rng = np.random.default_rng(4)
+        phi_c, phi_f = rng.uniform(size=(2, 3, 7))
+        got = total_inconsistency(phi_c, phi_f, 0.4)
+        assert got.shape == (3, 7)
+        for a in range(3):
+            for b in range(7):
+                assert got[a, b] == total_inconsistency(phi_c[a, b], phi_f[a, b], 0.4)
+
 
 class TestEntropy:
     def test_one_hot_zero(self):
@@ -174,65 +198,91 @@ class TestDensityAwareEntropy:
         assert out == pytest.approx(1.0)
 
 
-def brute_force_two_stage(records, m_cand, budget, use_density=True):
+def brute_force_two_stage(scores, m_cand, budget, use_density=True):
     """Independent full-sort oracle: complete sorts, explicit density sums."""
-    stage1 = sorted(records, key=lambda r: (-r.in_total, r.sample_id))[:m_cand]
+    rows = sorted(range(len(scores)),
+                  key=lambda i: (-scores.in_total[i], scores.ids[i]))[:m_cand]
     scored = []
-    for r in stage1:
+    for i in rows:
         sims = []
-        for other in stage1:
-            u, v = np.asarray(r.representation), np.asarray(other.representation)
+        for j in rows:
+            u, v = scores.reps[i], scores.reps[j]
             sims.append(float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v))))
         factor = sum(sims) / len(sims) if use_density else 1.0
-        scored.append((r.sample_id, r.entropy * factor))
+        scored.append((int(scores.ids[i]), scores.entropy[i] * factor))
     scored.sort(key=lambda t: (-t[1], t[0]))
     return [sid for sid, _ in scored[:budget]]
 
 
-def random_records(n, seed, dim=4, c=3):
+def random_scores(n, seed, dim=4, c=3):
     rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n):
+    in_total, ent, reps = [], [], []
+    for _ in range(n):
         p = rng.dirichlet(np.ones(c))
-        out.append(ScoreRecord(
-            sample_id=i,
-            in_total=float(rng.uniform(0, 1)),
-            entropy=entropy(p),
-            representation=rng.uniform(0.1, 1.0, dim),
-        ))
-    return out
+        in_total.append(float(rng.uniform(0, 1)))
+        ent.append(entropy(p))
+        reps.append(rng.uniform(0.1, 1.0, dim))
+    return Scores(ids=np.arange(n), in_total=np.array(in_total),
+                  entropy=np.array(ent), reps=np.array(reps))
+
+
+class TestScores:
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(InputShapeError):
+            Scores(ids=np.arange(3), in_total=np.zeros(2), entropy=np.zeros(3),
+                   reps=np.ones((3, 2)))
+
+    def test_unsorted_ids_rejected(self):
+        with pytest.raises(UsageError):
+            Scores(ids=np.array([0, 2, 1]), in_total=np.zeros(3),
+                   entropy=np.zeros(3), reps=np.ones((3, 2)))
+
+
+class TestTopK:
+    def test_largest_first(self):
+        assert top_k(np.array([0.1, 0.9, 0.5]), np.arange(3), 2).tolist() == [1, 2]
+
+    def test_ties_break_by_ascending_id(self):
+        key = np.array([0.5, 0.7, 0.5, 0.5])
+        ids = np.array([30, 10, 20, 5])
+        assert ids[top_k(key, ids, 4)].tolist() == [10, 5, 20, 30]
+
+    def test_matches_full_sort(self):
+        rng = np.random.default_rng(8)
+        key = rng.integers(0, 5, 200).astype(float)
+        ids = rng.permutation(1000)[:200]
+        expect = sorted(range(200), key=lambda i: (-key[i], ids[i]))[:37]
+        assert top_k(key, ids, 37).tolist() == expect
 
 
 class TestSelect:
     def test_matches_brute_force(self):
         for seed in range(20):
-            records = random_records(100, seed)
-            got = select(records, 30, 10)
-            expect = brute_force_two_stage(records, 30, 10)
+            scores = random_scores(100, seed)
+            got = select(scores, 30, 10)
+            expect = brute_force_two_stage(scores, 30, 10)
             assert got == expect
 
     def test_m_equals_pool_pure_density_ranking(self):
-        records = random_records(50, 5)
-        got = select(records, 50, 8)
+        scores = random_scores(50, 5)
+        got = select(scores, 50, 8)
         # with no primary cut, in_total must not matter
-        for r in records:
-            r.in_total = 0.0
-        again = select(records, 50, 8)
+        again = select(dataclasses.replace(scores, in_total=np.zeros(50)), 50, 8)
         assert got == again
 
     def test_m_equals_budget_pure_inconsistency(self):
-        records = random_records(50, 6)
-        got = select(records, 10, 10)
-        ranked = sorted(records, key=lambda r: (-r.in_total, r.sample_id))[:10]
-        assert set(got) == {r.sample_id for r in ranked}
+        scores = random_scores(50, 6)
+        got = select(scores, 10, 10)
+        ranked = sorted(range(50), key=lambda i: (-scores.in_total[i], i))[:10]
+        assert set(got) == set(ranked)
 
     def test_budget_exceeds_m_rejected(self):
         with pytest.raises(UsageError):
-            select(random_records(10, 0), 3, 5)
+            select(random_scores(10, 0), 3, 5)
 
     def test_output_size_and_uniqueness(self):
-        records = random_records(80, 7)
-        got = select(records, 40, 15)
+        scores = random_scores(80, 7)
+        got = select(scores, 40, 15)
         assert len(got) == 15
         assert len(set(got)) == 15
 
@@ -249,7 +299,8 @@ class TestSelect:
             assert np.array_equal(phi_f0, phi_f1)
 
     def test_density_leq_entropy_for_nonnegative_reps(self):
-        records = random_records(40, 9)
-        select(records, 40, 5)
-        for r in records:
-            assert r.density_entropy <= r.entropy + 1e-12
+        # the weights select() applies when every sample is a candidate
+        scores = random_scores(40, 9)
+        density_entropy = scores.entropy * density_factors(scores.reps)
+        assert np.all(density_entropy <= scores.entropy + 1e-12)
+        assert len(select(scores, 40, 5)) == 5
