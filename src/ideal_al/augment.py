@@ -112,7 +112,7 @@ def coarse_augment_batch(X, k, delta, rng):
     flip_rows = np.where(choice == 1)[0]
     if flip_rows.size:
         lo = rng.integers(0, d, size=flip_rows.size)
-        hi = np.array([int(rng.integers(l + 1, d + 1)) for l in lo])
+        hi = rng.integers(lo + 1, d + 1)
         cols = np.arange(d)[None, :]
         mask = (cols >= lo[:, None]) & (cols < hi[:, None])
         block = base[flip_rows]

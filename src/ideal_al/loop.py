@@ -16,6 +16,18 @@ from . import augment, propagator, selector
 from .errors import ConfigError, DataError, ExhaustedPoolError, UsageError
 from .model import Classifier, kl_rows, train_step
 
+# Pool rows scored per block: bounds the scan's (rows * k_aug, width)
+# intermediates while keeping each block one large GEMM.
+SCAN_ROWS = 1024
+
+
+def _row_blocks(n):
+    """(start, stop) ranges covering n rows in blocks of SCAN_ROWS. A short
+    tail joins the block before it, so only a pool smaller than SCAN_ROWS
+    gets a smaller block (a one-row matmul takes a different BLAS path)."""
+    bounds = [*range(0, max(n - SCAN_ROWS, 0) + 1, SCAN_ROWS), n]
+    return list(zip(bounds[:-1], bounds[1:]))
+
 
 class Oracle:
     """Ground-truth labeler with an access audit trail."""
@@ -102,8 +114,10 @@ def baseline_select(strategy, scores, budget, rng, labeled_reps=None):
         reps = scores.reps
         if labeled_reps is not None and len(labeled_reps):
             L = np.atleast_2d(np.asarray(labeled_reps, dtype=float))
-            d2 = ((reps[:, None, :] - L[None, :, :]) ** 2).sum(axis=2)
-            min_dist = np.sqrt(d2.min(axis=1))
+            min_dist = np.empty(len(scores))
+            for s, e in _row_blocks(len(scores)):
+                d2 = ((reps[s:e, None, :] - L[None, :, :]) ** 2).sum(axis=2)
+                min_dist[s:e] = np.sqrt(d2.min(axis=1))
         else:
             min_dist = np.full(len(scores), np.inf)
         chosen = []
@@ -134,6 +148,9 @@ class ActiveLearningLoop:
             np.random.SeedSequence([config.seed, 0xA11]).generate_state(4)
         )
         self.pool = self._initial_pool()
+        if self.pool.n_unlabeled < config.budget:
+            raise ConfigError("budget", f"budget {config.budget} exceeds the "
+                              f"{self.pool.n_unlabeled} unlabeled rows left after seeding")
         self.model = self._initial_model()
 
     # -- setup ---------------------------------------------------------
@@ -144,11 +161,16 @@ class ActiveLearningLoop:
         pool = Pool(ids=ds.ids[order], features=ds.features[order],
                     labels=np.full(len(ds), -1))
         classes = ds.labels[order]
+        missing = np.flatnonzero(np.bincount(classes, minlength=ds.n_classes) == 0)
+        if len(missing):
+            raise DataError(f"no rows for class(es) {missing.tolist()} of "
+                            f"0..{ds.n_classes - 1}: class indices must be contiguous")
         rng = self._init_pool_rng
         for c in range(ds.n_classes):
             rows = np.flatnonzero(classes == c)
             if len(rows) < self.config.init_per_class:
-                raise UsageError(f"class {c} has too few samples to seed the pool")
+                raise ConfigError("init_per_class", f"class {c} has {len(rows)} rows, "
+                                  f"too few to seed {self.config.init_per_class}")
             picks = rng.choice(len(rows), size=self.config.init_per_class,
                                replace=False)
             pool.annotate(pool.ids[rows[picks]], self.oracle)
@@ -231,32 +253,37 @@ class ActiveLearningLoop:
 
     def _score_pool(self, rng):
         """Fresh-draw inconsistency + entropy scoring of every unlabeled
-        sample, as `selector.Scores` in ascending id order."""
-        cfg = self.config
+        sample, as `selector.Scores` in ascending id order.
+
+        The coarse variants are drawn once for the whole pool (their draws
+        are grouped by transform across rows) and the percentile fusion needs
+        the whole pool; everything in between runs in `_row_blocks`. The VAT
+        normals are drawn block after block in row order, the same stream as
+        one whole-pool draw.
+        """
+        cfg, model = self.config, self.model
         unlabeled = self.pool.labels < 0
         ids = self.pool.ids[unlabeled]
         X = self.pool.features[unlabeled]
-        P_orig = self.model.predict(X)
-        A = augment.coarse_augment_batch(X, cfg.k_aug, cfg.delta, rng)
-        flat = A.reshape(-1, A.shape[-1])
-        P_bar_flat = self.model.predict(flat)
-        P_bar = P_bar_flat.reshape(len(ids), cfg.k_aug, -1)
-
-        if cfg.disable_coarse:
-            in_coa = np.zeros(len(ids))
-        else:
-            in_coa = selector.coarse_inconsistency(
-                np.concatenate([P_orig[:, None, :], P_bar], axis=1))
-
-        if cfg.disable_fine:
-            in_fin = np.zeros(len(ids))
-        else:
-            H_bar = self.model.tap_representation(flat)
-            tap = self.model.tap_layer
-            R, _ = augment.vat_perturbation_batch(
-                self.model, H_bar, P_bar_flat, cfg.epsilon, cfg.xi, rng)
-            P_hat_flat = self.model.predict(H_bar + R, start=tap)
-            in_fin = kl_rows(P_bar_flat, P_hat_flat).reshape(len(ids), cfg.k_aug).sum(axis=1)
+        n, k = len(ids), cfg.k_aug
+        A = augment.coarse_augment_batch(X, k, cfg.delta, rng)
+        in_coa, in_fin, ent = np.zeros(n), np.zeros(n), np.empty(n)
+        reps = np.empty((n, model.rep_dim()))
+        for s, e in _row_blocks(n):
+            P_orig = model.predict(X[s:e])
+            flat = A[s:e].reshape(-1, A.shape[-1])
+            P_bar_flat = model.predict(flat)
+            if not cfg.disable_coarse:
+                in_coa[s:e] = selector.coarse_inconsistency(np.concatenate(
+                    [P_orig[:, None, :], P_bar_flat.reshape(e - s, k, -1)], axis=1))
+            if not cfg.disable_fine:
+                H_bar = model.tap_representation(flat)
+                R, _ = augment.vat_perturbation_batch(
+                    model, H_bar, P_bar_flat, cfg.epsilon, cfg.xi, rng)
+                P_hat_flat = model.predict(H_bar + R, start=model.tap_layer)
+                in_fin[s:e] = kl_rows(P_bar_flat, P_hat_flat).reshape(e - s, k).sum(axis=1)
+            ent[s:e] = selector.entropy_rows(P_orig)
+            reps[s:e] = model.tap_representation(X[s:e])
 
         gamma = cfg.gamma
         if cfg.disable_coarse and not cfg.disable_fine:
@@ -265,9 +292,7 @@ class ActiveLearningLoop:
             gamma = 1.0
         in_total = selector.total_inconsistency(
             selector.percentiles(in_coa), selector.percentiles(in_fin), gamma)
-        return selector.Scores(ids=ids, in_total=in_total,
-                               entropy=selector.entropy_rows(P_orig),
-                               reps=self.model.tap_representation(X))
+        return selector.Scores(ids=ids, in_total=in_total, entropy=ent, reps=reps)
 
     def _entropy_records(self):
         """Cheap scores (entropy + representation, zero inconsistency) for

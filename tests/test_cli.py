@@ -98,6 +98,32 @@ class TestRun:
         assert "cycle=" not in out
         assert "data error" in err
 
+    def test_budget_beyond_seeded_pool_exits_2(self, tmp_path, capsys):
+        cfg = make_config(tmp_path, make_dataset(tmp_path, per_class=6), budget=20)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "budget" in capsys.readouterr().err
+        assert not (out / "metrics.jsonl").exists()
+
+    def test_class_index_gap_exits_3(self, tmp_path, capsys):
+        pool = write_csv(tmp_path, [0, 0, 0, 2, 2, 2])
+        assert main(["run", "--config", str(make_config(tmp_path, pool, budget=1))]) == 3
+        assert "data error" in capsys.readouterr().err
+
+    def test_class_below_init_per_class_exits_2(self, tmp_path, capsys):
+        pool = write_csv(tmp_path, [0, 0, 0, 1, 1, 1, 1])
+        cfg = make_config(tmp_path, pool, budget=1, init_per_class=4)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "init_per_class" in capsys.readouterr().err
+
+
+def write_csv(tmp_path, labels):
+    path = tmp_path / "pool.csv"
+    rows = [f"{i},{c},{i / len(labels)},{(i * 7 % 5) / 5}" for i, c in enumerate(labels)]
+    path.write_text("\n".join(["id,label,x0,x1", *rows]) + "\n")
+    return path
+
 
 class TestAblateAndReport:
     def test_ablate_lattice_and_report(self, tmp_path, capsys):
@@ -115,6 +141,14 @@ class TestAblateAndReport:
         text = capsys.readouterr().out
         assert "final-cycle comparison" in text
         assert "full" in text
+
+    def test_ablate_budget_beyond_seeded_pool_exits_2(self, tmp_path, capsys):
+        cfg = make_config(tmp_path, make_dataset(tmp_path, per_class=6), budget=20)
+        capsys.readouterr()
+        assert main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
+        out, err = capsys.readouterr()
+        assert "final_accuracy" not in out
+        assert "budget" in err
 
     def test_report_empty_dir(self, tmp_path):
         assert main(["report", "--in", str(tmp_path)]) == 3

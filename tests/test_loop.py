@@ -100,10 +100,31 @@ class TestPoolBookkeeping:
         assert 0 < len(reports) < 10
 
     def test_run_cycle_raises_when_budget_unservable(self):
+        # 8 rows, 4 seeded: the first cycle labels the other 4, the second
+        # finds none left
         ds = small_dataset(per_class=4)
-        loop = ActiveLearningLoop(fast_config(budget=50), ds)
+        loop = ActiveLearningLoop(fast_config(budget=4), ds)
+        loop.run_cycle(0)
         with pytest.raises(ExhaustedPoolError):
-            loop.run_cycle(0)
+            loop.run_cycle(1)
+
+    def test_budget_beyond_seeded_pool_is_a_config_error(self):
+        ds = small_dataset(per_class=4)
+        with pytest.raises(ConfigError, match="budget"):
+            ActiveLearningLoop(fast_config(budget=5), ds)
+
+    def test_class_without_rows_is_a_data_error(self):
+        ds = small_dataset()
+        keep = np.flatnonzero(ds.labels != 0)
+        with pytest.raises(DataError, match="class"):
+            ActiveLearningLoop(fast_config(), ds.subset(keep))
+
+    def test_class_below_init_per_class_is_a_config_error(self):
+        ds = small_dataset()
+        keep = np.concatenate([np.flatnonzero(ds.labels == 0)[:1],
+                               np.flatnonzero(ds.labels == 1)])
+        with pytest.raises(ConfigError, match="init_per_class"):
+            ActiveLearningLoop(fast_config(), ds.subset(keep))
 
     def test_oracle_hygiene(self):
         ds = small_dataset()
