@@ -7,8 +7,6 @@ sup norm. Fine variants are virtual-adversarial perturbations of fixed L2
 norm epsilon, obtained with a single power-iteration step.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import UsageError
@@ -19,76 +17,12 @@ TRANSFORM_NAMES = ("roll", "block_flip", "jitter")
 GRAD_NORM_FLOOR = 1e-12
 
 
-@dataclass
-class CoarseAugmentSet:
-    source_id: object
-    source: np.ndarray
-    variants: list = field(default_factory=list)
-    descriptors: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.variants)
-
-
-@dataclass
-class Perturbation:
-    vector: np.ndarray
-    epsilon: float
-    degenerate: bool = False
-
-
-def _jitter(x, delta, rng):
-    """Additive uniform noise rescaled to sup-norm displacement 2*delta."""
-    u = rng.uniform(-1.0, 1.0, size=x.shape)
-    m = np.abs(u).max()
-    if m < 1e-12:
-        u = np.zeros_like(u)
-        u[0] = 1.0
-        m = 1.0
-    return u * (2.0 * delta / m)
-
-
-def coarse_augment(x, k, delta, rng, source_id=None):
-    """k randomly transformed variants of x, each sup-norm > delta away."""
-    x = np.asarray(x, dtype=float)
-    if k < 1:
-        raise UsageError("need at least one coarse variant")
-    if delta <= 0:
-        raise UsageError("delta must be positive")
-    d = x.shape[0]
-    out = CoarseAugmentSet(source_id=source_id, source=x)
-    for _ in range(k):
-        name = TRANSFORM_NAMES[rng.integers(len(TRANSFORM_NAMES))]
-        if name == "roll" and d > 1:
-            shift = int(rng.integers(1, d))
-            v = np.roll(x, shift)
-            params = {"shift": shift}
-        elif name == "block_flip":
-            lo = int(rng.integers(0, d))
-            hi = int(rng.integers(lo + 1, d + 1))
-            v = x.copy()
-            v[lo:hi] = -v[lo:hi]
-            params = {"lo": lo, "hi": hi}
-        else:
-            disp = _jitter(x, delta, rng)
-            v = x + disp
-            name, params = "jitter", {}
-        if np.abs(v - x).max() <= delta:
-            # transform landed inside the perceivability threshold; push it
-            # out with jitter so the delta contract always holds
-            v = v + _jitter(v, delta, rng)
-            params = dict(params, jitter_fallback=True)
-        out.variants.append(v)
-        out.descriptors.append((name, params))
-    return out
-
-
 def coarse_augment_batch(X, k, delta, rng):
-    """Vectorized coarse augmentation: (n, d) -> (n, k, d).
+    """Coarse augmentation: (n, d) -> (n, k, d).
 
-    Same transform family as coarse_augment, drawn independently per
-    (sample, variant); used on hot paths where a per-sample call would be
-    too slow. Deterministic given rng.
+    Each (sample, variant) draws one transform of the family independently;
+    a variant still within delta of its source in sup norm gets extra jitter.
+    Deterministic given rng.
     """
     X = np.asarray(X, dtype=float)
     if k < 1:
@@ -142,39 +76,22 @@ def _unit_rows(V):
     return np.where(norms > 1e-12, V / safe, fallback)
 
 
-def vat_perturbation_batch(model, X_bar, Y_bar, epsilon, xi, rng, start=None):
+def vat_perturbation_batch(model, X_bar, Y_bar, epsilon, xi, rng):
     """Row-wise virtual adversarial perturbations: (R, degenerate_mask).
 
     One power-iteration step per row: random unit direction d, KL gradient
     evaluated at X + xi*d, normalized and scaled to epsilon. Rows whose
-    gradient vanishes fall back to epsilon*d.
+    gradient vanishes fall back to epsilon*d. Rows are representations at
+    the model's tap layer.
     """
     if epsilon <= 0 or xi <= 0:
         raise UsageError("epsilon and xi must be positive")
-    start = model.tap_layer if start is None else start
     X_bar = np.atleast_2d(np.asarray(X_bar, dtype=float))
     Y_bar = np.atleast_2d(np.asarray(Y_bar, dtype=float))
     D = _unit_rows(rng.normal(size=X_bar.shape))
-    G = grad_kl_wrt_input_batch(model, X_bar, Y_bar, xi * D, start=start)
+    G = grad_kl_wrt_input_batch(model, X_bar, Y_bar, xi * D,
+                                start=model.tap_layer)
     norms = np.linalg.norm(G, axis=1)
     degenerate = norms < GRAD_NORM_FLOOR
     direction = np.where(degenerate[:, None], D, _unit_rows(G))
     return epsilon * direction, degenerate
-
-
-def vat_perturbation(model, x_bar, y_bar, epsilon, xi, rng, start=None):
-    """Single-sample virtual adversarial perturbation of L2 norm epsilon."""
-    R, degenerate = vat_perturbation_batch(
-        model, x_bar, y_bar, epsilon, xi, rng, start=start
-    )
-    return Perturbation(vector=R[0], epsilon=epsilon, degenerate=bool(degenerate[0]))
-
-
-def fine_augment_set(model, coarse, epsilon, xi, rng, start=None):
-    """Adversarially displaced version of every coarse variant."""
-    if not coarse.variants:
-        raise UsageError("coarse augment set is empty")
-    X = np.stack(coarse.variants)
-    Y = model.predict(X, start=model.tap_layer if start is None else start)
-    R, _ = vat_perturbation_batch(model, X, Y, epsilon, xi, rng, start=start)
-    return [X[i] + R[i] for i in range(len(coarse.variants))]

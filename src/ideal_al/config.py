@@ -60,6 +60,8 @@ class LoopConfig:
             raise ConfigError("budget", "must be >= 1")
         if self.cycles < 1:
             raise ConfigError("cycles", "must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed", "must be >= 0")
         if self.m_cand is not None and self.m_cand < self.budget:
             raise ConfigError("m_cand", "must be >= budget")
         if not 0.0 <= self.gamma <= 1.0:

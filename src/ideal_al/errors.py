@@ -13,10 +13,6 @@ class InputShapeError(UsageError):
     """Vector/matrix dimensions do not compose."""
 
 
-class DegenerateVectorError(UsageError):
-    """A vector with (near-)zero norm where a direction is required."""
-
-
 class ConfigError(IdealError):
     """Invalid or unknown configuration key/value."""
 

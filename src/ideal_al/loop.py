@@ -206,6 +206,7 @@ class ActiveLearningLoop:
         Xu_all = pool.features[~is_labeled]
         n_l = len(Xl_all)
         w = np.asarray(cfg.resolved_weights())
+        tap = self.model.tap_layer
         for _ in range(cfg.train_steps_per_cycle):
             bl = rng.choice(n_l, size=min(cfg.batch_size, n_l),
                             replace=n_l < cfg.batch_size)
@@ -219,21 +220,17 @@ class ActiveLearningLoop:
                 # adversarial perturbations live in representation space
                 # (identical to input space when tap_layer == 0)
                 H_bar = self.model.tap_representation(flat)
-                tap = self.model.tap_layer
                 P_flat = self.model.predict(H_bar, start=tap)
                 R, _ = augment.vat_perturbation_batch(
                     self.model, H_bar, P_flat, cfg.epsilon, cfg.xi, rng)
                 tilde = H_bar + R
                 P_tilde = self.model.predict(tilde, start=tap).reshape(
                     len(Xu), cfg.k_aug, -1)
-                P_u = self.model.predict(Xu)
+                H_u = self.model.tap_representation(Xu)
+                P_u = self.model.predict(H_u, start=tap)
                 guessed = propagator.guess_labels_batch(P_u, P_tilde, w)
                 guessed_rep = np.repeat(guessed, cfg.k_aug, axis=0)
-                H = np.concatenate([
-                    self.model.tap_representation(Xl),
-                    self.model.tap_representation(Xu),
-                    tilde,
-                ])
+                H = np.concatenate([self.model.tap_representation(Xl), H_u, tilde])
                 Y = np.concatenate([Yl, guessed, guessed_rep])
                 mask = np.zeros(len(H), dtype=bool)
                 mask[: len(Xl)] = True
@@ -269,21 +266,21 @@ class ActiveLearningLoop:
         A = augment.coarse_augment_batch(X, k, cfg.delta, rng)
         in_coa, in_fin, ent = np.zeros(n), np.zeros(n), np.empty(n)
         reps = np.empty((n, model.rep_dim()))
+        tap = model.tap_layer
         for s, e in _row_blocks(n):
-            P_orig = model.predict(X[s:e])
-            flat = A[s:e].reshape(-1, A.shape[-1])
-            P_bar_flat = model.predict(flat)
+            reps[s:e] = model.tap_representation(X[s:e])
+            P_orig = model.predict(reps[s:e], start=tap)
+            H_bar = model.tap_representation(A[s:e].reshape(-1, A.shape[-1]))
+            P_bar_flat = model.predict(H_bar, start=tap)
             if not cfg.disable_coarse:
                 in_coa[s:e] = selector.coarse_inconsistency(np.concatenate(
                     [P_orig[:, None, :], P_bar_flat.reshape(e - s, k, -1)], axis=1))
             if not cfg.disable_fine:
-                H_bar = model.tap_representation(flat)
                 R, _ = augment.vat_perturbation_batch(
                     model, H_bar, P_bar_flat, cfg.epsilon, cfg.xi, rng)
-                P_hat_flat = model.predict(H_bar + R, start=model.tap_layer)
+                P_hat_flat = model.predict(H_bar + R, start=tap)
                 in_fin[s:e] = kl_rows(P_bar_flat, P_hat_flat).reshape(e - s, k).sum(axis=1)
             ent[s:e] = selector.entropy_rows(P_orig)
-            reps[s:e] = model.tap_representation(X[s:e])
 
         gamma = cfg.gamma
         if cfg.disable_coarse and not cfg.disable_fine:
@@ -298,10 +295,10 @@ class ActiveLearningLoop:
         """Cheap scores (entropy + representation, zero inconsistency) for
         the baselines and the ranker-free ablation."""
         unlabeled = self.pool.labels < 0
-        X = self.pool.features[unlabeled]
-        return selector.Scores(ids=self.pool.ids[unlabeled], in_total=np.zeros(len(X)),
-                               entropy=selector.entropy_rows(self.model.predict(X)),
-                               reps=self.model.tap_representation(X))
+        reps = self.model.tap_representation(self.pool.features[unlabeled])
+        P = self.model.predict(reps, start=self.model.tap_layer)
+        return selector.Scores(ids=self.pool.ids[unlabeled], in_total=np.zeros(len(reps)),
+                               entropy=selector.entropy_rows(P), reps=reps)
 
     def _select_phase(self, rngs):
         cfg = self.config

@@ -21,19 +21,6 @@ def softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def kl_divergence(p, q):
-    """KL(p || q) for two probability vectors, with 0*ln(0) := 0.
-
-    Entries of q are floored at PROB_FLOOR so saturated predictions cannot
-    produce infinities.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise InputShapeError(f"distribution lengths differ: {p.shape} vs {q.shape}")
-    return float(kl_rows(p[None, :], q[None, :])[0])
-
-
 def kl_rows(P, Q):
     """Row-wise KL(P_i || Q_i) for matrices of distributions."""
     Q = np.maximum(Q, PROB_FLOOR)
@@ -98,13 +85,6 @@ class Classifier:
         layer = self.tap_layer if layer is None else layer
         return self.input_dim if layer == 0 else self.weights[layer - 1].shape[1]
 
-    def copy(self):
-        return Classifier(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            tap_layer=self.tap_layer,
-        )
-
     def _trace(self, X, start=0):
         """Forward pass from representation `start`; returns (acts, preacts).
 
@@ -131,20 +111,19 @@ class Classifier:
         return probs[0] if np.ndim(X) == 1 else probs
 
     def tap_representation(self, X):
-        """Representation at the tap layer for a batch (or single vector)."""
-        if self.tap_layer == 0:
-            return np.asarray(X, dtype=float)
-        acts, _ = self._trace(np.atleast_2d(X))
-        rep = acts[self.tap_layer]
-        return rep[0] if np.ndim(X) == 1 else rep
+        """Representation at the tap layer for a batch (or single vector).
 
-    def forward(self, x):
-        """Single-sample forward: (tap representation, class probabilities)."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise InputShapeError("forward expects a single feature vector")
-        acts, _ = self._trace(x[None, :])
-        return acts[self.tap_layer][0], acts[-1][0]
+        Only the hidden layers up to the tap run; `predict(H, start=tap_layer)`
+        finishes the pass, so a caller needing both pays for the encoder once.
+        """
+        a = np.asarray(X, dtype=float)
+        if a.shape[-1] != self.input_dim:
+            raise InputShapeError(
+                f"input width {a.shape[-1]} != expected {self.input_dim}"
+            )
+        for i in range(self.tap_layer):
+            a = np.maximum(a @ self.weights[i] + self.biases[i], 0.0)
+        return a
 
 
 def _backprop_input(model, acts, preacts, delta, start):
@@ -182,12 +161,6 @@ def grad_kl_wrt_input_batch(model, base, reference, offset, start=0):
     return _backprop_input(model, acts, preacts, delta, start)
 
 
-def grad_wrt_input(model, base_point, reference, offset, start=0):
-    """Single-sample gradient of the KL loss with respect to the offset."""
-    g = grad_kl_wrt_input_batch(model, base_point, reference, offset, start=start)
-    return g[0]
-
-
 def _accumulate_param_grads(model, acts, preacts, delta, start, grads_w, grads_b):
     for i in range(model.n_layers - 1, start - 1, -1):
         local = i - start
@@ -197,20 +170,19 @@ def _accumulate_param_grads(model, acts, preacts, delta, start, grads_w, grads_b
             delta = (delta @ model.weights[i].T) * (preacts[local - 1] > 0)
 
 
-def train_step(model, labeled, unlabeled=None, learning_rate=0.05, lambda_u=1.0,
-               start=None):
+def train_step(model, labeled, unlabeled=None, learning_rate=0.05, lambda_u=1.0):
     """One full-batch gradient-descent update on the combined objective.
 
     labeled: (X, Y) with one-hot or soft targets, feeding cross-entropy.
     unlabeled: optional (X, Y) guessed-label pairs, feeding mean squared
     distance between the predicted simplex and the target simplex.
-    Inputs are representations at `start` (default: the model's tap layer).
+    Inputs are representations at the model's tap layer.
 
     Returns (model, loss). The model is updated in place.
     """
     if learning_rate < 0:
         raise UsageError("learning rate must be nonnegative")
-    start = model.tap_layer if start is None else start
+    start = model.tap_layer
     Xl, Yl = (None, None) if labeled is None else labeled
     Xu, Yu = (None, None) if unlabeled is None else unlabeled
     n_l = 0 if Xl is None else len(np.atleast_2d(Xl))

@@ -6,38 +6,9 @@ and their targets with a coefficient drawn from a symmetric Beta
 distribution folded onto [0.5, 1], so the first element always dominates.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InputShapeError, UsageError
-
-
-@dataclass
-class GuessedLabel:
-    sample_id: object
-    distribution: np.ndarray
-    weights: np.ndarray
-
-
-@dataclass
-class MixedExample:
-    x: np.ndarray
-    y: np.ndarray
-    lam: float
-    kind: str  # LL | LU | UU
-
-
-def guess_label(preds, weights, sample_id=None):
-    """Weighted average of the original and augmented predictions."""
-    P = np.atleast_2d(np.asarray(preds, dtype=float))
-    w = np.asarray(weights, dtype=float)
-    if len(w) != len(P):
-        raise UsageError(f"{len(w)} weights for {len(P)} predictions")
-    if np.any(w < 0) or w.sum() <= 0:
-        raise UsageError("weights must be nonnegative and not all zero")
-    dist = (w[:, None] * P).sum(axis=0) / w.sum()
-    return GuessedLabel(sample_id=sample_id, distribution=dist, weights=w)
+from .errors import UsageError
 
 
 def guess_labels_batch(P_orig, P_aug, weights):
@@ -52,34 +23,6 @@ def guess_labels_batch(P_orig, P_aug, weights):
         raise UsageError(f"expected {K + 1} weights, got {len(w)}")
     total = w[0] * P_orig + np.tensordot(P_aug, w[1:], axes=([1], [0]))
     return total / w.sum()
-
-
-def sample_lambda(alpha, rng):
-    """Beta(alpha, alpha) draw folded onto [0.5, 1]."""
-    if alpha <= 0:
-        raise UsageError("alpha must be positive")
-    lam = rng.beta(alpha, alpha)
-    return max(lam, 1.0 - lam)
-
-
-def mix_pair(h1, y1, h2, y2, lam, kind="LL"):
-    """Convex combination of two representations and their targets."""
-    h1 = np.asarray(h1, dtype=float)
-    h2 = np.asarray(h2, dtype=float)
-    if h1.shape != h2.shape:
-        raise InputShapeError(f"representation shapes differ: {h1.shape} vs {h2.shape}")
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
-    if y1.shape != y2.shape:
-        raise InputShapeError("target shapes differ")
-    if not 0.5 <= lam <= 1.0:
-        raise UsageError(f"lambda {lam} outside [0.5, 1]")
-    return MixedExample(
-        x=lam * h1 + (1.0 - lam) * h2,
-        y=lam * y1 + (1.0 - lam) * y2,
-        lam=float(lam),
-        kind=kind,
-    )
 
 
 def build_training_arrays(H, Y, labeled_mask, alpha, rng):
@@ -100,32 +43,3 @@ def build_training_arrays(H, Y, labeled_mask, alpha, rng):
     Ym = lam * Y + (1.0 - lam) * Y[perm]
     sup = np.asarray(labeled_mask, dtype=bool)
     return (Xm[sup], Ym[sup]), (Xm[~sup], Ym[~sup]), perm, lam[:, 0]
-
-
-def build_training_batch(labeled, unlabeled, augmented, alpha, rng):
-    """Spec-shaped batch construction returning MixedExample lists.
-
-    labeled: list of (rep, target); unlabeled and augmented: lists of
-    (rep, guessed target). Returns (supervised_examples, consistency_examples).
-    """
-    if not labeled:
-        raise UsageError("labeled batch must be nonempty")
-    unlabeled = unlabeled or []
-    augmented = augmented or []
-    pairs = list(labeled) + list(unlabeled) + list(augmented)
-    H = np.stack([np.asarray(h, dtype=float) for h, _ in pairs])
-    Y = np.stack([np.asarray(y, dtype=float) for _, y in pairs])
-    mask = np.array([i < len(labeled) for i in range(len(pairs))])
-    (Xl, Yl), (Xu, Yu), perm, lams = build_training_arrays(H, Y, mask, alpha, rng)
-    l_examples, u_examples = [], []
-    for i in range(len(pairs)):
-        j = perm[i]
-        kind = ("LL" if mask[j] else "LU") if mask[i] else ("LU" if mask[j] else "UU")
-        ex = MixedExample(
-            x=lams[i] * H[i] + (1.0 - lams[i]) * H[j],
-            y=lams[i] * Y[i] + (1.0 - lams[i]) * Y[j],
-            lam=float(lams[i]),
-            kind=kind,
-        )
-        (l_examples if mask[i] else u_examples).append(ex)
-    return l_examples, u_examples

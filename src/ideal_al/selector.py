@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVectorError, InputShapeError, UsageError
-from .model import kl_rows
+from .errors import InputShapeError, UsageError
 
 NORM_FLOOR = 1e-12
 
@@ -53,23 +52,6 @@ def coarse_inconsistency(preds):
     return float(out) if out.ndim == 0 else out
 
 
-def fine_inconsistency(coarse_preds, perturbed_preds):
-    """Sum over variants of KL(coarse prediction || perturbed prediction)."""
-    P = np.atleast_2d(np.asarray(coarse_preds, dtype=float))
-    Q = np.atleast_2d(np.asarray(perturbed_preds, dtype=float))
-    if P.shape != Q.shape:
-        raise InputShapeError(f"paired prediction shapes differ: {P.shape} vs {Q.shape}")
-    return float(kl_rows(P, Q).sum())
-
-
-def percentile(value, values):
-    """Fraction of the population strictly smaller than value."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise UsageError("empty population")
-    return float(np.count_nonzero(values < value)) / values.size
-
-
 def percentiles(values):
     """Strict-smaller percentile of every element within its own population."""
     values = np.asarray(values, dtype=float)
@@ -87,58 +69,11 @@ def total_inconsistency(phi_coa, phi_fin, gamma):
     return gamma * phi_coa + (1.0 - gamma) * phi_fin
 
 
-def entropy(pred):
-    """Shannon entropy of a probability vector (natural log)."""
-    p = np.asarray(pred, dtype=float)
-    if p.ndim != 1 or np.any(p < -1e-9) or abs(p.sum() - 1.0) > 1e-6:
-        raise UsageError("not a valid probability simplex")
-    p = np.clip(p, 0.0, 1.0)
-    terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    return float(-terms.sum())
-
-
 def entropy_rows(P):
+    """Shannon entropy (natural log) of each probability row."""
     P = np.clip(np.asarray(P, dtype=float), 0.0, 1.0)
     terms = np.where(P > 0, P * np.log(np.where(P > 0, P, 1.0)), 0.0)
     return -terms.sum(axis=-1)
-
-
-def cosine_similarity(u, v):
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise InputShapeError("vector dims differ")
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu <= NORM_FLOOR or nv <= NORM_FLOOR:
-        raise DegenerateVectorError("zero-norm vector has no direction")
-    return float(u @ v / (nu * nv))
-
-
-def density_aware_entropy(target_rep, target_entropy, candidate_reps):
-    """Entropy re-weighted by mean cosine similarity to the candidate set.
-
-    The mean runs over all candidates including the target itself; zero-norm
-    candidates are dropped (with a warning) and the denominator shrinks.
-    """
-    reps = np.atleast_2d(np.asarray(candidate_reps, dtype=float))
-    if len(reps) < 1:
-        raise UsageError("need at least one candidate")
-    target = np.asarray(target_rep, dtype=float)
-    tn = np.linalg.norm(target)
-    if tn <= NORM_FLOOR:
-        raise DegenerateVectorError("target representation has zero norm")
-    norms = np.linalg.norm(reps, axis=1)
-    good = norms > NORM_FLOOR
-    if not good.all():
-        warnings.warn(
-            f"dropping {np.count_nonzero(~good)} zero-norm candidate(s) "
-            "from the density sum"
-        )
-    reps, norms = reps[good], norms[good]
-    if len(reps) == 0:
-        raise UsageError("no usable candidates in the density sum")
-    sims = reps @ target / (norms * tn)
-    return float(target_entropy * sims.mean())
 
 
 def density_factors(reps):

@@ -1,4 +1,6 @@
-"""Whole-array reference versions of the package's blocked code paths."""
+"""Brute-force references for the package's row-wise and blocked code paths."""
+
+import math
 
 import numpy as np
 
@@ -60,3 +62,24 @@ def coreset_select_whole(scores, budget, labeled_reps):
         min_dist = np.minimum(min_dist, np.linalg.norm(reps - reps[i], axis=1))
         min_dist[i] = -np.inf
     return chosen
+
+
+def kl(p, q):
+    """KL(p || q) of one pair of distributions, q floored like `kl_rows`."""
+    return sum(pi * math.log(pi / max(qi, 1e-12)) for pi, qi in zip(p, q) if pi > 0)
+
+
+def entropy(p):
+    """Shannon entropy (natural log) of one distribution."""
+    return -sum(pi * math.log(pi) for pi in p if pi > 0)
+
+
+def percentile(value, values):
+    """Fraction of the population strictly smaller than value."""
+    return sum(v < value for v in values) / len(values)
+
+
+def weighted_average(preds, weights):
+    """Weighted average of prediction rows."""
+    total = sum(w * np.asarray(p, dtype=float) for p, w in zip(preds, weights))
+    return total / sum(weights)

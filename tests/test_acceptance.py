@@ -14,21 +14,21 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ideal_al.augment import coarse_augment, vat_perturbation, vat_perturbation_batch
+from ideal_al.augment import vat_perturbation_batch
 from ideal_al.config import LoopConfig
 from ideal_al.data import Dataset, _normalize, synthetic_dataset
 from ideal_al.loop import ActiveLearningLoop, run
-from ideal_al.model import Classifier, grad_wrt_input, kl_divergence
-from ideal_al.propagator import guess_label, mix_pair, sample_lambda
+from ideal_al.model import Classifier, grad_kl_wrt_input_batch, kl_rows
+from ideal_al.propagator import build_training_arrays, guess_labels_batch
 from ideal_al.selector import (
     Scores,
     coarse_inconsistency,
-    entropy,
-    fine_inconsistency,
+    entropy_rows,
     percentiles,
     select,
     total_inconsistency,
 )
+from oracles import kl
 from util import relu_kink_free
 
 
@@ -46,8 +46,8 @@ def finite_diff_grad(model, base, reference, offset, h=1e-5):
     for i in range(d):
         e = np.zeros(d)
         e[i] = h
-        up = kl_divergence(reference, model.predict(base + offset + e))
-        dn = kl_divergence(reference, model.predict(base + offset - e))
+        up = kl(reference, model.predict(base + offset + e))
+        dn = kl(reference, model.predict(base + offset - e))
         g[i] = (up - dn) / (2 * h)
     return g
 
@@ -68,7 +68,7 @@ def test_criterion_01_vat_gradient_matches_finite_differences():
         if not relu_kink_free(m, base + offset, 1e-5, margin=4.0):
             continue
         ref = rng.dirichlet(np.ones(n_classes))
-        g = grad_wrt_input(m, base, ref, offset)
+        g = grad_kl_wrt_input_batch(m, base[None], ref[None], offset[None])[0]
         fd = finite_diff_grad(m, base, ref, offset)
         denom = np.maximum(np.abs(fd), 1e-6)
         worst = max(worst, float(np.max(np.abs(g - fd) / denom)))
@@ -99,11 +99,12 @@ def test_criterion_02_adversarial_direction_dominance():
         if not relu_kink_free(m, x, eps):
             continue
         y = m.predict(x)
-        p = vat_perturbation(m, x, y, eps, xi=1e-3, rng=rng)
-        if p.degenerate:
+        R, degenerate = vat_perturbation_batch(m, x[None], y[None], eps, xi=1e-3,
+                                               rng=rng)
+        if degenerate[0]:
             continue
-        got = kl_divergence(y, m.predict(x + p.vector))
-        best = max(kl_divergence(y, m.predict(x + c)) for c in circle)
+        got = kl(y, m.predict(x + R[0]))
+        best = max(kl(y, m.predict(x + c)) for c in circle)
         if best < 1e-14:
             continue
         worst = min(worst, got / best)
@@ -125,21 +126,26 @@ def test_criterion_03_inconsistency_oracles():
         P = rng.dirichlet(np.ones(c), size=k)
         Q = rng.dirichlet(np.ones(c), size=k)
         naive_coa = sum(np.mean((P[:, j] - P[:, j].mean()) ** 2) for j in range(c))
-        naive_fin = sum(kl_divergence(p, q) for p, q in zip(P, Q))
+        naive_fin = sum(kl(p, q) for p, q in zip(P, Q))
         worst = max(worst,
                     abs(coarse_inconsistency(P) - naive_coa),
-                    abs(fine_inconsistency(P, Q) - naive_fin))
+                    abs(kl_rows(P, Q).sum() - naive_fin))
     identical = rng.dirichlet(np.ones(3))
-    # the row-wise form the loop scores the pool with: leading axes are samples
+    # the row-wise forms the loop scores the pool with: leading axes are samples
     P = rng.dirichlet(np.ones(4), size=(10, 30, 3))
     naive_rows = [[sum(np.mean((P[a, b, :, j] - P[a, b, :, j].mean()) ** 2)
                        for j in range(4)) for b in range(30)] for a in range(10)]
     worst = max(worst, np.abs(coarse_inconsistency(P) - naive_rows).max())
-    zeros_ok = (coarse_inconsistency([identical] * 4) == 0.0
-                and fine_inconsistency([identical] * 4, [identical] * 4) == 0.0)
+    P_bar, P_hat = rng.dirichlet(np.ones(4), size=(2, 300 * 3))
+    naive_fin_rows = [sum(kl(P_bar[3 * i + v], P_hat[3 * i + v]) for v in range(3))
+                      for i in range(300)]
+    in_fin = kl_rows(P_bar, P_hat).reshape(300, 3).sum(axis=1)
+    worst = max(worst, np.abs(in_fin - naive_fin_rows).max())
+    same = np.tile(identical, (4, 1))
+    zeros_ok = (coarse_inconsistency(same) == 0.0 and kl_rows(same, same).sum() == 0.0)
     report(3, "inconsistency vs brute force",
            worst < 1e-10 and zeros_ok,
-           f"1000 instances + 300 rows, worst abs err {worst:.2e}")
+           f"1000 instances + 2x300 rows, worst abs err {worst:.2e}")
 
 
 # -- criterion 4: monotone transforms leave percentile ranks untouched ---
@@ -197,14 +203,13 @@ def test_criterion_05_two_stage_selection_equivalence():
         n = int(rng.integers(30, 501))
         budget = int(rng.integers(1, 16))
         m_cand = int(rng.integers(budget, n + 1))
-        in_total, ent, reps = [], [], []
+        in_total, preds, reps = [], [], []
         for i in range(n):
-            p = rng.dirichlet(np.ones(3))
+            preds.append(rng.dirichlet(np.ones(3)))
             in_total.append(float(rng.uniform(0, 1)))
-            ent.append(entropy(p))
             reps.append(rng.uniform(0.1, 1.0, 5))
         scores = Scores(ids=np.arange(n), in_total=np.array(in_total),
-                        entropy=np.array(ent), reps=np.array(reps))
+                        entropy=entropy_rows(np.array(preds)), reps=np.array(reps))
         ok &= select(scores, m_cand, budget) == full_sort_two_stage(
             scores, m_cand, budget)
 
@@ -387,20 +392,20 @@ def test_criterion_10_distribution_and_simplex_invariants():
     rng = np.random.default_rng(29)
     ok = True
 
-    lams = np.array([sample_lambda(0.75, rng) for _ in range(10_000)])
-    ok &= bool(np.all(lams >= 0.5) and np.all(lams <= 1.0))
-
-    for _ in range(10_000):
-        c = int(rng.integers(2, 6))
-        preds = rng.dirichlet(np.ones(c), size=3)
-        g = guess_label(preds, [1.0, 1.0, 0.5]).distribution
-        mixed = mix_pair(rng.uniform(0, 1, 4), g,
-                         rng.uniform(0, 1, 4), rng.dirichlet(np.ones(c)),
-                         sample_lambda(0.75, rng))
-        for vec in (g, mixed.y):
-            ok = ok and np.all(vec >= -1e-12) and abs(vec.sum() - 1.0) < 1e-9
-        ent = entropy(preds[0])
-        ok = ok and -1e-12 <= ent <= np.log(c) + 1e-12
+    for c in (2, 3, 4, 5):
+        # 2,500 samples per class count: guessed labels from the original and
+        # two variant predictions, mixed against as many other targets
+        preds = rng.dirichlet(np.ones(c), size=(2_500, 3))
+        g = guess_labels_batch(preds[:, 0], preds[:, 1:], [1.0, 1.0, 0.5])
+        Y = np.concatenate([g, rng.dirichlet(np.ones(c), size=2_500)])
+        mask = np.arange(5_000) < 2_500
+        (_, Yl), (_, Yu), _, lams = build_training_arrays(
+            rng.uniform(0, 1, (5_000, 4)), Y, mask, 0.75, rng)
+        ok &= bool(np.all(lams >= 0.5) and np.all(lams <= 1.0))
+        for V in (g, Yl, Yu):
+            ok &= bool(np.all(V >= -1e-12) and np.all(np.abs(V.sum(axis=1) - 1.0) < 1e-9))
+        ent = entropy_rows(preds[:, 0])
+        ok &= bool(np.all(ent >= -1e-12) and np.all(ent <= np.log(c) + 1e-12))
     assert ok, "simplex/entropy invariant broke"
 
     m = Classifier.from_sizes([6, 8, 3], rng=rng)

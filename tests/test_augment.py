@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from ideal_al.augment import (
-    coarse_augment,
-    coarse_augment_batch,
-    fine_augment_set,
-    vat_perturbation,
-)
+from ideal_al.augment import coarse_augment_batch, vat_perturbation_batch
 from ideal_al.errors import UsageError
-from ideal_al.model import Classifier, kl_divergence
+from ideal_al.model import Classifier
+from oracles import kl
 from util import relu_kink_free
 
 
@@ -24,43 +20,36 @@ def zero_model(sizes=(2, 3, 2)):
 
 class TestCoarseAugment:
     def test_variant_count(self):
-        out = coarse_augment(np.linspace(0, 1, 8), k=5, delta=0.05,
-                             rng=np.random.default_rng(0))
-        assert len(out) == 5
+        out = coarse_augment_batch(np.linspace(0, 1, 8)[None], k=5, delta=0.05,
+                                   rng=np.random.default_rng(0))
+        assert out.shape[:2] == (1, 5)
 
     def test_sup_norm_above_delta(self):
-        x = np.linspace(0, 1, 6)
+        X = np.random.default_rng(3).uniform(0, 1, (50, 6))
         for seed in range(50):
-            out = coarse_augment(x, k=3, delta=0.05,
-                                 rng=np.random.default_rng(seed))
-            for v in out.variants:
-                assert np.abs(v - x).max() > 0.05
+            A = coarse_augment_batch(X, k=3, delta=0.05, rng=np.random.default_rng(seed))
+            assert np.all(np.abs(A - X[:, None, :]).max(axis=2) > 0.05)
 
     def test_constant_vector_still_displaced(self):
         # roll leaves a constant vector untouched; the fallback must fire
-        x = np.full(5, 0.3)
+        X = np.full((30, 5), 0.3)
         for seed in range(30):
-            out = coarse_augment(x, k=4, delta=0.1,
-                                 rng=np.random.default_rng(seed))
-            for v in out.variants:
-                assert np.abs(v - x).max() > 0.1
+            A = coarse_augment_batch(X, k=4, delta=0.1, rng=np.random.default_rng(seed))
+            assert np.all(np.abs(A - X[:, None, :]).max(axis=2) > 0.1)
 
     def test_determinism(self):
-        x = np.linspace(0, 1, 4)
-        a = coarse_augment(x, 3, 0.05, np.random.default_rng(9))
-        b = coarse_augment(x, 3, 0.05, np.random.default_rng(9))
-        for va, vb in zip(a.variants, b.variants):
-            assert np.array_equal(va, vb)
-        assert a.descriptors == b.descriptors
+        X = np.random.default_rng(2).uniform(0, 1, (1, 4))
+        a = coarse_augment_batch(X, 3, 0.05, np.random.default_rng(9))
+        b = coarse_augment_batch(X, 3, 0.05, np.random.default_rng(9))
+        assert np.array_equal(a, b)
 
     def test_zero_k_rejected(self):
         with pytest.raises(UsageError):
-            coarse_augment(np.zeros(3), 0, 0.05, np.random.default_rng(0))
+            coarse_augment_batch(np.zeros((1, 3)), 0, 0.05, np.random.default_rng(0))
 
     def test_dimensionality_preserved(self):
-        out = coarse_augment(np.zeros(7), 2, 0.05, np.random.default_rng(1))
-        for v in out.variants:
-            assert v.shape == (7,)
+        out = coarse_augment_batch(np.zeros((4, 7)), 2, 0.05, np.random.default_rng(1))
+        assert out.shape == (4, 2, 7)
 
 
 class TestCoarseAugmentBatch:
@@ -79,33 +68,40 @@ class TestCoarseAugmentBatch:
         assert np.array_equal(A, B)
 
 
+def vat_one(m, x, y, eps, xi, rng):
+    """`vat_perturbation_batch` on a single row: (vector, degenerate)."""
+    R, degenerate = vat_perturbation_batch(m, x[None], y[None], eps, xi, rng)
+    return R[0], bool(degenerate[0])
+
+
 class TestVatPerturbation:
     def test_norm_equals_epsilon(self):
         m = tiny_model(3)
-        x = np.array([0.3, 0.6])
-        y = m.predict(x)
+        X = np.random.default_rng(1).uniform(0, 1, (20, 2))
+        X[0] = [0.3, 0.6]
+        Y = m.predict(X)
         for eps in (1e-2, 0.5, 10.0):
-            p = vat_perturbation(m, x, y, epsilon=eps, xi=0.1,
-                                 rng=np.random.default_rng(0))
-            assert not p.degenerate
-            assert np.linalg.norm(p.vector) == pytest.approx(eps, abs=1e-9)
+            # a degenerate row falls back to its random direction, also of norm eps
+            R, degenerate = vat_perturbation_batch(m, X, Y, epsilon=eps, xi=0.1,
+                                                   rng=np.random.default_rng(0))
+            assert not degenerate[0]
+            assert np.allclose(np.linalg.norm(R, axis=1), eps, rtol=0, atol=1e-9)
 
     def test_degenerate_on_flat_model(self):
         m = zero_model()
-        x = np.array([0.3, 0.6])
-        y = m.predict(x)
-        p = vat_perturbation(m, x, y, epsilon=1.0, xi=0.1,
-                             rng=np.random.default_rng(0))
-        assert p.degenerate
-        assert np.linalg.norm(p.vector) == pytest.approx(1.0, abs=1e-9)
+        X = np.array([[0.3, 0.6], [0.1, 0.2]])
+        R, degenerate = vat_perturbation_batch(m, X, m.predict(X), epsilon=1.0,
+                                               xi=0.1, rng=np.random.default_rng(0))
+        assert degenerate.all()
+        assert np.allclose(np.linalg.norm(R, axis=1), 1.0, rtol=0, atol=1e-9)
 
     def test_determinism(self):
         m = tiny_model(2)
-        x = np.array([0.1, 0.9])
-        y = m.predict(x)
-        a = vat_perturbation(m, x, y, 0.5, 0.1, np.random.default_rng(7))
-        b = vat_perturbation(m, x, y, 0.5, 0.1, np.random.default_rng(7))
-        assert np.array_equal(a.vector, b.vector)
+        X = np.array([[0.1, 0.9], [0.4, 0.3]])
+        Y = m.predict(X)
+        a, _ = vat_perturbation_batch(m, X, Y, 0.5, 0.1, np.random.default_rng(7))
+        b, _ = vat_perturbation_batch(m, X, Y, 0.5, 0.1, np.random.default_rng(7))
+        assert np.array_equal(a, b)
 
     def test_sphere_grid_dominance(self):
         # the one-step direction should be near-optimal on the epsilon sphere
@@ -120,13 +116,12 @@ class TestVatPerturbation:
             if not relu_kink_free(m, x, eps):
                 continue
             y = m.predict(x)
-            p = vat_perturbation(m, x, y, eps, xi=1e-3, rng=rng)
-            if p.degenerate:
+            r, degenerate = vat_one(m, x, y, eps, xi=1e-3, rng=rng)
+            if degenerate:
                 continue
-            got = kl_divergence(y, m.predict(x + p.vector))
+            got = kl(y, m.predict(x + r))
             best = max(
-                kl_divergence(y, m.predict(x + eps * np.array(
-                    [np.cos(t), np.sin(t)])))
+                kl(y, m.predict(x + eps * np.array([np.cos(t), np.sin(t)])))
                 for t in np.deg2rad(np.arange(360))
             )
             if best < 1e-14:
@@ -136,31 +131,33 @@ class TestVatPerturbation:
 
     def test_invalid_params(self):
         m = tiny_model(1)
+        X = np.zeros((1, 2))
         with pytest.raises(UsageError):
-            vat_perturbation(m, np.zeros(2), m.predict(np.zeros(2)), 0.0, 0.1,
-                             np.random.default_rng(0))
+            vat_perturbation_batch(m, X, m.predict(X), 0.0, 0.1,
+                                   np.random.default_rng(0))
+
+
+def fine_variants(m, x, k, epsilon, rng):
+    """The loop's fine variants of one sample: its coarse variants, each
+    moved by its own VAT perturbation. Returns (coarse, fine), both (k, d)."""
+    bar = coarse_augment_batch(x[None], k, 0.05, rng)[0]
+    R, _ = vat_perturbation_batch(m, bar, m.predict(bar), epsilon, 0.1, rng)
+    return bar, bar + R
 
 
 class TestFineAugmentSet:
     def test_count_matches_coarse(self):
-        m = tiny_model(4)
-        rng = np.random.default_rng(2)
-        coarse = coarse_augment(np.array([0.4, 0.5]), k=2, delta=0.05, rng=rng)
-        fine = fine_augment_set(m, coarse, epsilon=0.1, xi=0.1, rng=rng)
-        assert len(fine) == 2
+        bar, hat = fine_variants(tiny_model(4), np.array([0.4, 0.5]), 2, 0.1,
+                                 np.random.default_rng(2))
+        assert bar.shape == hat.shape == (2, 2)
 
     def test_displacement_is_epsilon(self):
-        m = tiny_model(4)
-        rng = np.random.default_rng(2)
-        coarse = coarse_augment(np.array([0.4, 0.5]), k=3, delta=0.05, rng=rng)
-        fine = fine_augment_set(m, coarse, epsilon=0.2, xi=0.1, rng=rng)
-        for bar, hat in zip(coarse.variants, fine):
-            assert np.linalg.norm(hat - bar) == pytest.approx(0.2, abs=1e-9)
+        bar, hat = fine_variants(tiny_model(4), np.array([0.4, 0.5]), 3, 0.2,
+                                 np.random.default_rng(2))
+        assert np.allclose(np.linalg.norm(hat - bar, axis=1), 0.2, rtol=0, atol=1e-9)
 
     def test_epsilon_limit_continuity(self):
         m = tiny_model(4)
-        rng = np.random.default_rng(2)
-        coarse = coarse_augment(np.array([0.4, 0.5]), k=2, delta=0.05, rng=rng)
-        fine = fine_augment_set(m, coarse, epsilon=1e-9, xi=0.1, rng=rng)
-        for bar, hat in zip(coarse.variants, fine):
-            assert np.allclose(m.predict(hat), m.predict(bar), atol=1e-6)
+        bar, hat = fine_variants(m, np.array([0.4, 0.5]), 2, 1e-9,
+                                 np.random.default_rng(2))
+        assert np.allclose(m.predict(hat), m.predict(bar), atol=1e-6)

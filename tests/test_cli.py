@@ -85,6 +85,15 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "epsilon" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg = make_config(tmp_path, make_dataset(tmp_path))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--seed", "-3"]) == 2
+        assert "seed" in capsys.readouterr().err
+        cfg.write_text(cfg.read_text().replace("seed = 1", "seed = -1"))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_test_data_width_mismatch_fails_before_training(self, tmp_path, capsys):
         pool = make_dataset(tmp_path)
         test = tmp_path / "test.csv"

@@ -273,6 +273,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             LoopConfig(strategy="vaal").validate()
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            ActiveLearningLoop(fast_config(seed=-1), small_dataset())
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("key", ["epsilon", "xi", "alpha", "delta",
                                      "learning_rate", "lambda_u", "gamma"])

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 from ideal_al.errors import InputShapeError, UsageError
 from ideal_al.model import (
     Classifier,
-    grad_wrt_input,
-    kl_divergence,
+    grad_kl_wrt_input_batch,
+    kl_rows,
     softmax,
     train_step,
 )
+from oracles import kl
 
 
 def tiny_model(seed=0, sizes=(2, 4, 2)):
@@ -34,63 +36,75 @@ def simplex(draw_dim=4):
 class TestForward:
     def test_zero_model_uniform(self):
         m = zero_model()
-        _, p = m.forward(np.array([1.0, -2.0, 0.5]))
-        assert np.allclose(p, [0.5, 0.5])
+        p = m.predict(np.array([[1.0, -2.0, 0.5]]))
+        assert np.allclose(p, [[0.5, 0.5]])
 
     def test_hand_softmax(self):
         # single linear layer producing logits (0, ln 3)
         m = Classifier([np.zeros((1, 2))], [np.array([0.0, math.log(3.0)])])
-        _, p = m.forward(np.array([0.7]))
-        assert np.allclose(p, [0.25, 0.75])
+        p = m.predict(np.array([[0.7]]))
+        assert np.allclose(p, [[0.25, 0.75]])
 
     def test_wrong_dim_raises(self):
-        with pytest.raises(InputShapeError):
-            tiny_model().forward(np.array([1.0, 2.0, 3.0]))
+        m = tiny_model()
+        for fn in (m.predict, m.tap_representation):
+            with pytest.raises(InputShapeError):
+                fn(np.array([[1.0, 2.0, 3.0]]))
 
     def test_tap_layer_exposed(self):
         m = Classifier.from_sizes([3, 5, 2], tap_layer=1,
                                   rng=np.random.default_rng(1))
-        h, p = m.forward(np.array([0.1, 0.2, 0.3]))
-        assert h.shape == (5,)
-        assert np.all(h >= 0)  # post-ReLU
+        X = np.random.default_rng(2).uniform(-1, 1, (4, 3))
+        H = m.tap_representation(X)
+        assert H.shape == (4, 5)
+        assert np.all(H >= 0)  # post-ReLU
+        # finishing the pass from the tap is the whole forward pass
+        assert np.array_equal(m.predict(H, start=1), m.predict(X))
 
     @given(x=st.lists(st.floats(min_value=-5, max_value=5), min_size=2, max_size=2))
     @settings(max_examples=200, deadline=None)
     def test_output_always_simplex(self, x):
-        _, p = tiny_model(3).forward(np.array(x))
+        p = tiny_model(3).predict(np.array([x]))
         assert np.all(p >= 0)
         assert abs(p.sum() - 1.0) < 1e-6
 
 
+def kl_one(p, q):
+    """`kl_rows` on a single pair of distributions."""
+    return kl_rows(np.array([p], dtype=float), np.array([q], dtype=float))[0]
+
+
 class TestKL:
     def test_identical_zero(self):
-        assert kl_divergence([0.5, 0.5], [0.5, 0.5]) == 0.0
+        assert kl_one([0.5, 0.5], [0.5, 0.5]) == 0.0
 
     def test_onehot_vs_uniform(self):
-        assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2))
+        assert kl_one([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2))
 
     def test_hand_value(self):
         expect = 0.9 * math.log(9) + 0.1 * math.log(1 / 9)
-        assert kl_divergence([0.9, 0.1], [0.1, 0.9]) == pytest.approx(expect)
+        assert kl_one([0.9, 0.1], [0.1, 0.9]) == pytest.approx(expect)
         assert expect == pytest.approx(1.7578, abs=1e-4)
 
     def test_length_mismatch(self):
-        with pytest.raises(InputShapeError):
-            kl_divergence([1.0, 0.0], [0.3, 0.3, 0.4])
+        with pytest.raises(ValueError):
+            kl_one([1.0, 0.0], [0.3, 0.3, 0.4])
 
     def test_zero_q_clamped_finite(self):
-        v = kl_divergence([1.0, 0.0], [0.0, 1.0])
+        v = kl_one([1.0, 0.0], [0.0, 1.0])
         assert np.isfinite(v) and v > 0
 
     @given(p=simplex(), q=simplex())
     @settings(max_examples=500, deadline=None)
     def test_nonnegative(self, p, q):
-        assert kl_divergence(p, q) >= -1e-12
+        got = kl_one(p, q)
+        assert got >= -1e-12
+        assert got == pytest.approx(kl(p, q), abs=1e-12)
 
     @given(p=simplex())
     @settings(max_examples=200, deadline=None)
     def test_self_zero(self, p):
-        assert kl_divergence(p, p) == pytest.approx(0.0, abs=1e-12)
+        assert kl_one(p, p) == pytest.approx(0.0, abs=1e-12)
 
 
 def finite_diff_grad(model, base, reference, offset, h=1e-4):
@@ -99,10 +113,15 @@ def finite_diff_grad(model, base, reference, offset, h=1e-4):
     for i in range(d):
         e = np.zeros(d)
         e[i] = h
-        up = kl_divergence(reference, model.predict(base + offset + e))
-        dn = kl_divergence(reference, model.predict(base + offset - e))
+        up = kl(reference, model.predict(base + offset + e))
+        dn = kl(reference, model.predict(base + offset - e))
         g[i] = (up - dn) / (2 * h)
     return g
+
+
+def grad_one(model, base, reference, offset):
+    """`grad_kl_wrt_input_batch` on a single row."""
+    return grad_kl_wrt_input_batch(model, base[None], reference[None], offset[None])[0]
 
 
 class TestGradWrtInput:
@@ -113,7 +132,7 @@ class TestGradWrtInput:
             base = rng.uniform(-1, 1, 2)
             offset = rng.uniform(-0.3, 0.3, 2)
             ref = np.array([0.8, 0.2])
-            g = grad_wrt_input(m, base, ref, offset)
+            g = grad_one(m, base, ref, offset)
             fd = finite_diff_grad(m, base, ref, offset)
             denom = np.maximum(np.abs(fd), 1e-8)
             assert np.all(np.abs(g - fd) / denom < 1e-3)
@@ -123,7 +142,7 @@ class TestGradWrtInput:
         base = np.array([0.3, 0.4])
         offset = np.array([0.1, -0.1])
         ref = m.predict(base + offset)
-        g = grad_wrt_input(m, base, ref, offset)
+        g = grad_one(m, base, ref, offset)
         assert np.allclose(g, 0.0)
 
     def test_purity(self):
@@ -131,20 +150,20 @@ class TestGradWrtInput:
         base = np.array([0.2, 0.9])
         offset = np.array([0.05, 0.01])
         ref = np.array([0.6, 0.4])
-        g1 = grad_wrt_input(m, base, ref, offset)
-        g2 = grad_wrt_input(m, base, ref, offset)
+        g1 = grad_one(m, base, ref, offset)
+        g2 = grad_one(m, base, ref, offset)
         assert np.array_equal(g1, g2)
 
     def test_dim_mismatch(self):
         m = tiny_model(5)
         with pytest.raises(InputShapeError):
-            grad_wrt_input(m, np.zeros(3), np.array([0.5, 0.5]), np.zeros(3))
+            grad_one(m, np.zeros(3), np.array([0.5, 0.5]), np.zeros(3))
 
 
 def supervised_reference_step(model, X, Y, lr):
     """Independent plain cross-entropy SGD step (naive loops, no sharing
     with the implementation under test beyond the forward pass)."""
-    m = model.copy()
+    m = copy.deepcopy(model)
     n = len(X)
     acts = [np.asarray(X, dtype=float)]
     zs = []

@@ -4,46 +4,47 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from ideal_al.errors import InputShapeError, UsageError
-from ideal_al.propagator import (
-    build_training_batch,
-    guess_label,
-    guess_labels_batch,
-    mix_pair,
-    sample_lambda,
-)
+from ideal_al.config import LoopConfig
+from ideal_al.errors import ConfigError, UsageError
+from ideal_al.propagator import build_training_arrays, guess_labels_batch
+from oracles import weighted_average
+
+
+def guess_one(p_orig, p_aug, weights):
+    """`guess_labels_batch` on a single sample."""
+    P_aug = np.asarray(p_aug, dtype=float).reshape(1, len(p_aug), len(p_orig))
+    return guess_labels_batch(np.asarray([p_orig], dtype=float), P_aug, weights)[0]
 
 
 class TestGuessLabel:
     def test_identical_preds_unchanged(self):
         p = np.array([0.2, 0.8])
-        out = guess_label([p, p, p], [1.0, 1.0, 0.5])
-        assert np.allclose(out.distribution, p)
+        assert np.allclose(guess_one(p, [p, p], [1.0, 1.0, 0.5]), p)
 
     def test_hand_weighted_average(self):
         # weight triple (1, 1, 0.5) over (1,0), (0,1), (1,0)
-        out = guess_label([[1, 0], [0, 1], [1, 0]], [1.0, 1.0, 0.5])
-        assert np.allclose(out.distribution, [0.6, 0.4])
+        out = guess_one([1, 0], [[0, 1], [1, 0]], [1.0, 1.0, 0.5])
+        assert np.allclose(out, [0.6, 0.4])
 
     def test_single_pred_identity(self):
-        out = guess_label([[0.3, 0.7]], [1.0])
-        assert np.allclose(out.distribution, [0.3, 0.7])
+        assert np.allclose(guess_one([0.3, 0.7], [], [1.0]), [0.3, 0.7])
 
     def test_all_zero_weights_rejected(self):
-        with pytest.raises(UsageError):
-            guess_label([[0.5, 0.5], [0.5, 0.5]], [0.0, 0.0])
+        # the loop takes its weights from the config, which refuses all zeros
+        with pytest.raises(ConfigError):
+            LoopConfig(k_aug=2, weights=(0.0, 0.0, 0.0)).validate()
 
     def test_weight_count_mismatch(self):
         with pytest.raises(UsageError):
-            guess_label([[0.5, 0.5]], [1.0, 1.0])
+            guess_one([0.5, 0.5], [], [1.0, 1.0])
 
     def test_permutation_invariance(self):
-        preds = [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]
-        weights = [1.0, 0.7, 0.3]
-        a = guess_label(preds, weights).distribution
+        aug = [[0.2, 0.8], [0.5, 0.5], [0.7, 0.3]]
+        weights = [1.0, 0.7, 0.3, 0.4]
+        a = guess_one([0.9, 0.1], aug, weights)
         perm = [2, 0, 1]
-        b = guess_label([preds[i] for i in perm],
-                        [weights[i] for i in perm]).distribution
+        b = guess_one([0.9, 0.1], [aug[i] for i in perm],
+                      [weights[0]] + [weights[1 + i] for i in perm])
         assert np.allclose(a, b)
 
     def test_batch_matches_single(self):
@@ -53,25 +54,35 @@ class TestGuessLabel:
         w = [1.0, 0.8, 0.2]
         batch = guess_labels_batch(P_orig, P_aug, w)
         for i in range(5):
-            single = guess_label([P_orig[i], *P_aug[i]], w).distribution
-            assert np.allclose(batch[i], single)
+            assert np.allclose(batch[i], weighted_average([P_orig[i], *P_aug[i]], w))
+
+
+def mix(H, Y, alpha, rng, mask=None):
+    """Every mixed row of `build_training_arrays`, in batch order."""
+    H = np.asarray(H, dtype=float)
+    mask = np.ones(len(H), dtype=bool) if mask is None else mask
+    (Xl, Yl), (Xu, Yu), perm, lam = build_training_arrays(H, np.asarray(Y, dtype=float),
+                                                          mask, alpha, rng)
+    Xm, Ym = np.empty((len(H), Xl.shape[1])), np.empty((len(H), Yl.shape[1]))
+    Xm[mask], Xm[~mask], Ym[mask], Ym[~mask] = Xl, Xu, Yl, Yu
+    return Xm, Ym, perm, lam
 
 
 class TestSampleLambda:
     def test_fold_range(self):
-        rng = np.random.default_rng(1)
-        for _ in range(1000):
-            lam = sample_lambda(0.75, rng)
-            assert 0.5 <= lam <= 1.0
+        _, _, _, lam = mix(np.zeros((1000, 1)), np.zeros((1000, 1)), 0.75,
+                           np.random.default_rng(1))
+        assert np.all((lam >= 0.5) & (lam <= 1.0))
 
     def test_invalid_alpha(self):
-        with pytest.raises(UsageError):
-            sample_lambda(0.0, np.random.default_rng(0))
+        # the loop takes alpha from the config, which refuses alpha <= 0
+        with pytest.raises(ConfigError):
+            LoopConfig(alpha=0.0).validate()
 
     def test_mean_matches_quadrature_oracle(self):
         alpha = 0.75
-        rng = np.random.default_rng(7)
-        draws = np.array([sample_lambda(alpha, rng) for _ in range(100_000)])
+        _, _, _, draws = mix(np.zeros((100_000, 1)), np.zeros((100_000, 1)), alpha,
+                             np.random.default_rng(7))
         pdf = stats.beta(alpha, alpha).pdf
         analytic, _ = integrate.quad(lambda t: max(t, 1 - t) * pdf(t), 0, 1)
         assert abs(draws.mean() - analytic) < 0.01
@@ -79,84 +90,84 @@ class TestSampleLambda:
 
 class TestMixPair:
     def test_endpoint(self):
-        out = mix_pair([1.0, 2.0], [1, 0], [3.0, 4.0], [0, 1], 1.0)
-        assert np.allclose(out.x, [1.0, 2.0])
-        assert np.allclose(out.y, [1, 0])
+        # Beta(a, a) with a -> 0 sits at 0 or 1, which folds to lambda = 1:
+        # every row keeps its own representation and target
+        rng = np.random.default_rng(3)
+        H, Y = rng.uniform(0, 1, (8, 2)), rng.dirichlet(np.ones(2), size=8)
+        Xm, Ym, _, lam = mix(H, Y, 1e-6, rng)
+        assert np.allclose(lam, 1.0)
+        assert np.allclose(Xm, H) and np.allclose(Ym, Y)
 
     def test_midpoint(self):
-        out = mix_pair([0.0, 0.0], [1, 0], [0.0, 0.0], [0, 1], 0.5)
-        assert np.allclose(out.y, [0.5, 0.5])
+        # Beta(a, a) with a -> inf sits at 1/2: each target is the mean of the pair
+        Y = np.eye(2)[[0, 1, 0, 1]]
+        _, Ym, perm, _ = mix(np.zeros((4, 1)), Y, 1e9, np.random.default_rng(0))
+        assert np.allclose(Ym, (Y + Y[perm]) / 2, atol=1e-3)
 
     def test_hand_values(self):
-        out = mix_pair([2.0, 0.0], [1, 0], [0.0, 2.0], [0, 1], 0.7)
-        assert np.allclose(out.x, [1.4, 0.6])
-
-    def test_dim_mismatch(self):
-        with pytest.raises(InputShapeError):
-            mix_pair([1.0], [1, 0], [1.0, 2.0], [0, 1], 0.6)
+        H = np.array([[2.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+        Y = np.eye(3)
+        Xm, Ym, perm, lam = mix(H, Y, 0.75, np.random.default_rng(4))
+        for i in range(3):
+            j = perm[i]
+            assert np.allclose(Xm[i], lam[i] * H[i] + (1 - lam[i]) * H[j])
+            assert np.allclose(Ym[i], lam[i] * Y[i] + (1 - lam[i]) * Y[j])
 
     def test_lambda_out_of_range(self):
-        with pytest.raises(UsageError):
-            mix_pair([1.0], [1, 0], [2.0], [0, 1], 0.3)
+        # lambda never falls below 1/2: each mixed row stays at least as
+        # close to its own row as to its partner
+        rng = np.random.default_rng(6)
+        H = rng.uniform(0, 1, (500, 3))
+        Xm, _, perm, _ = mix(H, np.zeros((500, 1)), 0.75, rng)
+        own = np.linalg.norm(Xm - H, axis=1)
+        partner = np.linalg.norm(Xm - H[perm], axis=1)
+        assert np.all(own <= partner + 1e-12)
 
-    @given(lam=st.floats(min_value=0.5, max_value=1.0),
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            y1=st.floats(min_value=0, max_value=1),
            y2=st.floats(min_value=0, max_value=1))
     @settings(max_examples=300, deadline=None)
-    def test_convex_combination_bounds(self, lam, y1, y2):
-        out = mix_pair([0.0], [y1, 1 - y1], [0.0], [y2, 1 - y2], lam)
+    def test_convex_combination_bounds(self, seed, y1, y2):
+        Y = np.array([[y1, 1 - y1], [y2, 1 - y2]])
+        _, Ym, _, _ = mix(np.zeros((2, 1)), Y, 0.75, np.random.default_rng(seed))
         lo, hi = min(y1, y2), max(y1, y2)
-        assert lo - 1e-12 <= out.y[0] <= hi + 1e-12
+        assert np.all((lo - 1e-12 <= Ym[:, 0]) & (Ym[:, 0] <= hi + 1e-12))
 
 
 class TestBuildTrainingBatch:
-    def _pairs(self, n, d=3, c=2, labeled=True, seed=0):
+    def _rows(self, n, d=3, c=2, seed=0):
         rng = np.random.default_rng(seed)
-        return [(rng.uniform(0, 1, d), rng.dirichlet(np.ones(c)))
-                for _ in range(n)]
-
-    def test_empty_labeled_rejected(self):
-        with pytest.raises(UsageError):
-            build_training_batch([], self._pairs(2), [], 0.75,
-                                 np.random.default_rng(0))
+        return rng.uniform(0, 1, (n, d)), rng.dirichlet(np.ones(c), size=n)
 
     def test_only_labeled_all_ll(self):
-        l_ex, u_ex = build_training_batch(self._pairs(4), [], [], 0.75,
-                                          np.random.default_rng(0))
-        assert len(u_ex) == 0
-        assert len(l_ex) == 4
-        assert all(ex.kind == "LL" for ex in l_ex)
+        H, Y = self._rows(4)
+        sup, unsup, _, _ = build_training_arrays(H, Y, np.ones(4, dtype=bool), 0.75,
+                                                 np.random.default_rng(0))
+        assert len(sup[0]) == 4 and len(unsup[0]) == 0
 
     def test_counts_deterministic(self):
-        labeled = self._pairs(4, seed=1)
-        unlabeled = self._pairs(4, seed=2)
-        augmented = self._pairs(8, seed=3)
-        l_ex, u_ex = build_training_batch(labeled, unlabeled, augmented, 0.75,
-                                          np.random.default_rng(5))
-        assert len(l_ex) + len(u_ex) == 16
-        assert len(l_ex) == 4 and len(u_ex) == 12
-        l2, u2 = build_training_batch(labeled, unlabeled, augmented, 0.75,
-                                      np.random.default_rng(5))
-        for a, b in zip(l_ex + u_ex, l2 + u2):
-            assert np.array_equal(a.x, b.x)
-            assert np.array_equal(a.y, b.y)
+        H, Y = self._rows(16, seed=1)
+        mask = np.arange(16) < 4
+        sup, unsup, _, _ = build_training_arrays(H, Y, mask, 0.75,
+                                                 np.random.default_rng(5))
+        assert len(sup[0]) == 4 and len(unsup[0]) == 12
+        sup2, unsup2, _, _ = build_training_arrays(H, Y, mask, 0.75,
+                                                   np.random.default_rng(5))
+        for a, b in zip(sup + unsup, sup2 + unsup2):
+            assert np.array_equal(a, b)
 
     def test_targets_are_simplexes(self):
         rng = np.random.default_rng(9)
         for trial in range(50):
-            l_ex, u_ex = build_training_batch(
-                self._pairs(3, seed=trial), self._pairs(3, seed=trial + 100),
-                self._pairs(3, seed=trial + 200), 0.75, rng)
-            for ex in l_ex + u_ex:
-                assert np.all(ex.y >= -1e-12)
-                assert abs(ex.y.sum() - 1.0) < 1e-9
-                assert 0.5 <= ex.lam <= 1.0
+            H, Y = self._rows(9, seed=trial)
+            _, Ym, _, lam = mix(H, Y, 0.75, rng, mask=np.arange(9) < 3)
+            assert np.all(Ym >= -1e-12)
+            assert np.allclose(Ym.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+            assert np.all((lam >= 0.5) & (lam <= 1.0))
 
     def test_identical_inputs_idempotent(self):
-        h = np.array([0.4, 0.6])
-        y = np.array([0.5, 0.5])
-        l_ex, u_ex = build_training_batch([(h, y)] * 3, [(h, y)] * 3, [], 0.75,
-                                          np.random.default_rng(2))
-        for ex in l_ex + u_ex:
-            assert np.allclose(ex.x, h)
-            assert np.allclose(ex.y, y)
+        H = np.tile([0.4, 0.6], (6, 1))
+        Y = np.tile([0.5, 0.5], (6, 1))
+        Xm, Ym, _, _ = mix(H, Y, 0.75, np.random.default_rng(2),
+                           mask=np.arange(6) < 3)
+        assert np.allclose(Xm, H) and np.allclose(Ym, Y)

@@ -6,22 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ideal_al.errors import DegenerateVectorError, InputShapeError, UsageError
-from ideal_al.model import kl_divergence
+from ideal_al.errors import InputShapeError, UsageError
+from ideal_al.model import kl_rows
 from ideal_al.selector import (
     Scores,
     coarse_inconsistency,
-    cosine_similarity,
-    density_aware_entropy,
     density_factors,
-    entropy,
-    fine_inconsistency,
-    percentile,
+    entropy_rows,
     percentiles,
     select,
     top_k,
     total_inconsistency,
 )
+from oracles import entropy, kl, percentile
 
 
 class TestCoarseInconsistency:
@@ -61,6 +58,12 @@ class TestCoarseInconsistency:
             coarse_inconsistency(np.full((10, 1, 2), 0.5))
 
 
+def fine_inconsistency(coarse_preds, perturbed_preds):
+    """The loop's fine score of one sample: `kl_rows` summed over its variants."""
+    return kl_rows(np.asarray(coarse_preds, dtype=float),
+                   np.asarray(perturbed_preds, dtype=float)).sum()
+
+
 class TestFineInconsistency:
     def test_identical_zero(self):
         P = [[0.2, 0.8], [0.6, 0.4]]
@@ -74,32 +77,28 @@ class TestFineInconsistency:
         two = fine_inconsistency([[1, 0]] * 2, [[0.5, 0.5]] * 2)
         assert two == pytest.approx(2 * one)
 
-    def test_length_mismatch(self):
-        with pytest.raises(InputShapeError):
-            fine_inconsistency([[1, 0]], [[0.5, 0.5], [0.5, 0.5]])
-
     def test_matches_naive(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             P = rng.dirichlet(np.ones(3), size=4)
             Q = rng.dirichlet(np.ones(3), size=4)
-            naive = sum(kl_divergence(p, q) for p, q in zip(P, Q))
+            naive = sum(kl(p, q) for p, q in zip(P, Q))
             assert fine_inconsistency(P, Q) == pytest.approx(naive, abs=1e-12)
 
 
 class TestPercentile:
     def test_paper_example(self):
-        assert percentile(4, [1, 2, 3, 4]) == 0.75
+        assert percentiles([1, 2, 3, 4])[3] == 0.75
 
     def test_minimum(self):
-        assert percentile(1, [1, 5, 9]) == 0.0
+        assert percentiles([1, 5, 9])[0] == 0.0
 
     def test_tie_rule(self):
-        assert percentile(5, [5, 5, 5, 9]) == 0.0
+        assert percentiles([5, 5, 5, 9]).tolist() == [0.0, 0.0, 0.0, 0.75]
 
     def test_empty_population(self):
         with pytest.raises(UsageError):
-            percentile(1, [])
+            percentiles([])
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(2)
@@ -145,17 +144,27 @@ class TestTotalInconsistency:
 
 class TestEntropy:
     def test_one_hot_zero(self):
-        assert entropy([0.0, 1.0, 0.0]) == 0.0
+        assert entropy_rows([[0.0, 1.0, 0.0]])[0] == 0.0
 
     def test_uniform_max(self):
-        assert entropy([0.25] * 4) == pytest.approx(math.log(4))
+        assert entropy_rows([[0.25] * 4])[0] == pytest.approx(math.log(4))
 
     def test_hand_value(self):
-        assert entropy([0.9, 0.1]) == pytest.approx(0.3251, abs=1e-4)
+        got = entropy_rows([[0.9, 0.1], [0.5, 0.5]])
+        assert got == pytest.approx([0.3251, math.log(2)], abs=1e-4)
 
-    def test_invalid_simplex(self):
-        with pytest.raises(UsageError):
-            entropy([0.9, 0.9])
+    def test_matches_naive(self):
+        P = np.random.default_rng(5).dirichlet(np.ones(4), size=200)
+        P[::7, 1:] = 0.0
+        P /= P.sum(axis=1, keepdims=True)
+        naive = [entropy(p) for p in P]
+        assert np.allclose(entropy_rows(P), naive, rtol=0, atol=1e-12)
+
+
+def cosine_similarity(u, v):
+    """Cosine of two rows, read off `density_factors` of the pair: each row's
+    factor is the mean of its cosine with itself (1) and with the other."""
+    return 2 * density_factors(np.array([u, v], dtype=float))[0] - 1
 
 
 class TestCosineSimilarity:
@@ -168,34 +177,27 @@ class TestCosineSimilarity:
     def test_hand_value(self):
         assert cosine_similarity([1.0, 0.0], [1.0, 1.0]) == pytest.approx(1 / np.sqrt(2))
 
-    def test_zero_norm_rejected(self):
-        with pytest.raises(DegenerateVectorError):
-            cosine_similarity([0.0, 0.0], [1.0, 0.0])
-
 
 class TestDensityAwareEntropy:
+    """Entropy times `density_factors`, the weighting `select` applies."""
+
     def test_self_similar_cloud(self):
-        rep = np.array([1.0, 1.0])
-        out = density_aware_entropy(rep, 0.5, [rep, rep, rep])
-        assert out == pytest.approx(0.5)
+        reps = np.ones((3, 2))
+        assert np.allclose(0.5 * density_factors(reps), 0.5)
 
     def test_orthogonal_pair(self):
-        target = np.array([1.0, 0.0])
-        other = np.array([0.0, 1.0])
-        out = density_aware_entropy(target, 0.8, [target, other])
-        assert out == pytest.approx(0.4)
+        reps = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert 0.8 * density_factors(reps)[0] == pytest.approx(0.4)
 
     def test_zero_entropy_annihilates(self):
-        rng = np.random.default_rng(3)
-        reps = rng.uniform(0.1, 1, (5, 3))
-        assert density_aware_entropy(reps[0], 0.0, reps) == 0.0
+        reps = np.random.default_rng(3).uniform(0.1, 1, (5, 3))
+        assert np.all(np.zeros(5) * density_factors(reps) == 0.0)
 
     def test_zero_norm_candidates_dropped(self):
         target = np.array([1.0, 0.0])
         with pytest.warns(UserWarning):
-            out = density_aware_entropy(target, 1.0,
-                                        [target, np.zeros(2), target])
-        assert out == pytest.approx(1.0)
+            factors = density_factors(np.array([target, np.zeros(2), target]))
+        assert factors.tolist() == pytest.approx([1.0, 0.0, 1.0])
 
 
 def brute_force_two_stage(scores, m_cand, budget, use_density=True):
@@ -220,10 +222,10 @@ def random_scores(n, seed, dim=4, c=3):
     for _ in range(n):
         p = rng.dirichlet(np.ones(c))
         in_total.append(float(rng.uniform(0, 1)))
-        ent.append(entropy(p))
+        ent.append(p)
         reps.append(rng.uniform(0.1, 1.0, dim))
     return Scores(ids=np.arange(n), in_total=np.array(in_total),
-                  entropy=np.array(ent), reps=np.array(reps))
+                  entropy=entropy_rows(ent), reps=np.array(reps))
 
 
 class TestScores:
