@@ -81,16 +81,14 @@ def vat_perturbation_batch(model, X_bar, Y_bar, epsilon, xi, rng):
 
     One power-iteration step per row: random unit direction d, KL gradient
     evaluated at X + xi*d, normalized and scaled to epsilon. Rows whose
-    gradient vanishes fall back to epsilon*d. Rows are representations at
-    the model's tap layer.
+    gradient vanishes fall back to epsilon*d.
     """
     if epsilon <= 0 or xi <= 0:
         raise UsageError("epsilon and xi must be positive")
     X_bar = np.atleast_2d(np.asarray(X_bar, dtype=float))
     Y_bar = np.atleast_2d(np.asarray(Y_bar, dtype=float))
     D = _unit_rows(rng.normal(size=X_bar.shape))
-    G = grad_kl_wrt_input_batch(model, X_bar, Y_bar, xi * D,
-                                start=model.tap_layer)
+    G = grad_kl_wrt_input_batch(model, X_bar, Y_bar, xi * D)
     norms = np.linalg.norm(G, axis=1)
     degenerate = norms < GRAD_NORM_FLOOR
     direction = np.where(degenerate[:, None], D, _unit_rows(G))

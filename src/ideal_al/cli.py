@@ -83,8 +83,15 @@ def _cmd_report(args):
     runs = []
     for root, _dirs, files in os.walk(args.in_dir):
         if "metrics.jsonl" in files:
-            with open(os.path.join(root, "metrics.jsonl"), encoding="utf-8") as fh:
-                records = [json.loads(line) for line in fh if line.strip()]
+            path = os.path.join(root, "metrics.jsonl")
+            records = []
+            with open(path, encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    if line.strip():
+                        try:
+                            records.append(json.loads(line))
+                        except json.JSONDecodeError as exc:
+                            raise DataError(f"{path}:{lineno}: {exc.msg}") from None
             if records:
                 runs.append((os.path.relpath(root, args.in_dir), records))
     if not runs:

@@ -40,7 +40,6 @@ class LoopConfig:
     learning_rate: float = 0.05
     batch_size: int = 32
     hidden_sizes: tuple = (64, 64)
-    tap_layer: int = 0
     init_per_class: int = 2
     cold_start: bool = False
 
@@ -69,9 +68,8 @@ class LoopConfig:
         for key in ("epsilon", "xi", "alpha", "delta", "learning_rate", "lambda_u"):
             if not 0 < getattr(self, key) < math.inf:  # also rejects nan
                 raise ConfigError(key, "must be positive and finite")
-        for key in ("k_aug", "train_steps_per_cycle", "batch_size", "init_per_class",
-                    "tap_layer"):
-            if getattr(self, key) < (0 if key == "tap_layer" else 1):
+        for key in ("k_aug", "train_steps_per_cycle", "batch_size", "init_per_class"):
+            if getattr(self, key) < 1:
                 raise ConfigError(key, "out of range")
         if self.strategy not in STRATEGIES:
             raise ConfigError("strategy", f"must be one of {STRATEGIES}")
@@ -83,8 +81,6 @@ class LoopConfig:
                 raise ConfigError("weights", "must be finite, nonnegative, not all zero")
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
             raise ConfigError("hidden_sizes", "must be positive widths")
-        if self.tap_layer > len(self.hidden_sizes):
-            raise ConfigError("tap_layer", "exceeds hidden layer count")
         return self
 
 
@@ -94,7 +90,7 @@ _STR_KEYS = {"dataset", "test_dataset", "strategy"}
 _BOOL_KEYS = {"disable_ranker", "disable_reranker", "disable_coarse",
               "disable_fine", "disable_density", "cold_start"}
 _INT_KEYS = {"k_aug", "m_cand", "budget", "cycles", "seed", "train_steps_per_cycle",
-             "batch_size", "tap_layer", "init_per_class"}
+             "batch_size", "init_per_class"}
 
 
 def _parse_value(key, raw):

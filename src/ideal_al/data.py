@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, UsageError
 
 
 @dataclass
@@ -110,6 +110,10 @@ def generate_synthetic(n_classes, clusters_per_class, per_class, noise, seed, di
         raise DataError("need at least one sample per class")
     if noise < 0:
         raise DataError("noise must be nonnegative")
+    if seed < 0:
+        raise UsageError("seed must be >= 0")
+    if dim < 1:
+        raise UsageError("dim must be >= 1")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.1, 0.9, size=(n_classes, clusters_per_class, dim))
     feats, labels = [], []

@@ -100,8 +100,8 @@ def baseline_select(strategy, scores, budget, rng, labeled_reps=None):
     """Comparator selection rules over the pool's `selector.Scores`.
 
     random: uniform without replacement; entropy: top-budget by prediction
-    entropy; coreset: greedy k-center on representations, seeded by the
-    labeled set's representations.
+    entropy; coreset: greedy k-center on the feature rows, seeded by the
+    labeled set's feature rows.
     """
     if budget > len(scores):
         raise UsageError("budget exceeds pool size")
@@ -142,6 +142,9 @@ class ActiveLearningLoop:
         if self.test_data.dim != dataset.dim:
             raise DataError(f"test data has {self.test_data.dim} features, "
                             f"the pool {dataset.dim}")
+        if self.test_data.labels.max() >= dataset.n_classes:
+            raise DataError(f"test data has class {self.test_data.labels.max()}, "
+                            f"the pool only 0..{dataset.n_classes - 1}")
         self.oracle = Oracle(dict(zip(dataset.ids.tolist(), dataset.labels.tolist())))
         self.reports = []
         self._init_pool_rng = np.random.default_rng(
@@ -182,7 +185,7 @@ class ActiveLearningLoop:
         rng = np.random.default_rng(
             np.random.SeedSequence([self.config.seed, 0x307]).generate_state(4)
         )
-        return Classifier.from_sizes(sizes, tap_layer=self.config.tap_layer, rng=rng)
+        return Classifier.from_sizes(sizes, rng=rng)
 
     def _cycle_rngs(self, t):
         """Independent streams per cycle so ablation paths that skip a stage
@@ -206,7 +209,6 @@ class ActiveLearningLoop:
         Xu_all = pool.features[~is_labeled]
         n_l = len(Xl_all)
         w = np.asarray(cfg.resolved_weights())
-        tap = self.model.tap_layer
         for _ in range(cfg.train_steps_per_cycle):
             bl = rng.choice(n_l, size=min(cfg.batch_size, n_l),
                             replace=n_l < cfg.batch_size)
@@ -217,29 +219,22 @@ class ActiveLearningLoop:
                 Xu = Xu_all[bu]
                 A = augment.coarse_augment_batch(Xu, cfg.k_aug, cfg.delta, rng)
                 flat = A.reshape(-1, A.shape[-1])
-                # adversarial perturbations live in representation space
-                # (identical to input space when tap_layer == 0)
-                H_bar = self.model.tap_representation(flat)
-                P_flat = self.model.predict(H_bar, start=tap)
+                P_flat = self.model.predict(flat)
                 R, _ = augment.vat_perturbation_batch(
-                    self.model, H_bar, P_flat, cfg.epsilon, cfg.xi, rng)
-                tilde = H_bar + R
-                P_tilde = self.model.predict(tilde, start=tap).reshape(
-                    len(Xu), cfg.k_aug, -1)
-                H_u = self.model.tap_representation(Xu)
-                P_u = self.model.predict(H_u, start=tap)
-                guessed = propagator.guess_labels_batch(P_u, P_tilde, w)
+                    self.model, flat, P_flat, cfg.epsilon, cfg.xi, rng)
+                tilde = flat + R
+                P_tilde = self.model.predict(tilde).reshape(len(Xu), cfg.k_aug, -1)
+                guessed = propagator.guess_labels_batch(self.model.predict(Xu), P_tilde, w)
                 guessed_rep = np.repeat(guessed, cfg.k_aug, axis=0)
-                H = np.concatenate([self.model.tap_representation(Xl), H_u, tilde])
+                X = np.concatenate([Xl, Xu, tilde])
                 Y = np.concatenate([Yl, guessed, guessed_rep])
-                mask = np.zeros(len(H), dtype=bool)
+                mask = np.zeros(len(X), dtype=bool)
                 mask[: len(Xl)] = True
             else:
-                H = self.model.tap_representation(Xl)
-                Y = Yl
-                mask = np.ones(len(H), dtype=bool)
+                X, Y = Xl, Yl
+                mask = np.ones(len(X), dtype=bool)
             sup, unsup, _, _ = propagator.build_training_arrays(
-                H, Y, mask, cfg.alpha, rng)
+                X, Y, mask, cfg.alpha, rng)
             train_step(self.model,
                        labeled=sup if len(sup[0]) else None,
                        unlabeled=unsup if len(unsup[0]) else None,
@@ -265,20 +260,17 @@ class ActiveLearningLoop:
         n, k = len(ids), cfg.k_aug
         A = augment.coarse_augment_batch(X, k, cfg.delta, rng)
         in_coa, in_fin, ent = np.zeros(n), np.zeros(n), np.empty(n)
-        reps = np.empty((n, model.rep_dim()))
-        tap = model.tap_layer
         for s, e in _row_blocks(n):
-            reps[s:e] = model.tap_representation(X[s:e])
-            P_orig = model.predict(reps[s:e], start=tap)
-            H_bar = model.tap_representation(A[s:e].reshape(-1, A.shape[-1]))
-            P_bar_flat = model.predict(H_bar, start=tap)
+            P_orig = model.predict(X[s:e])
+            flat = A[s:e].reshape(-1, A.shape[-1])
+            P_bar_flat = model.predict(flat)
             if not cfg.disable_coarse:
                 in_coa[s:e] = selector.coarse_inconsistency(np.concatenate(
                     [P_orig[:, None, :], P_bar_flat.reshape(e - s, k, -1)], axis=1))
             if not cfg.disable_fine:
                 R, _ = augment.vat_perturbation_batch(
-                    model, H_bar, P_bar_flat, cfg.epsilon, cfg.xi, rng)
-                P_hat_flat = model.predict(H_bar + R, start=tap)
+                    model, flat, P_bar_flat, cfg.epsilon, cfg.xi, rng)
+                P_hat_flat = model.predict(flat + R)
                 in_fin[s:e] = kl_rows(P_bar_flat, P_hat_flat).reshape(e - s, k).sum(axis=1)
             ent[s:e] = selector.entropy_rows(P_orig)
 
@@ -289,16 +281,16 @@ class ActiveLearningLoop:
             gamma = 1.0
         in_total = selector.total_inconsistency(
             selector.percentiles(in_coa), selector.percentiles(in_fin), gamma)
-        return selector.Scores(ids=ids, in_total=in_total, entropy=ent, reps=reps)
+        return selector.Scores(ids=ids, in_total=in_total, entropy=ent, reps=X)
 
     def _entropy_records(self):
-        """Cheap scores (entropy + representation, zero inconsistency) for
-        the baselines and the ranker-free ablation."""
+        """Cheap scores (entropy + feature rows, zero inconsistency) for the
+        baselines and the ranker-free ablation."""
         unlabeled = self.pool.labels < 0
-        reps = self.model.tap_representation(self.pool.features[unlabeled])
-        P = self.model.predict(reps, start=self.model.tap_layer)
-        return selector.Scores(ids=self.pool.ids[unlabeled], in_total=np.zeros(len(reps)),
-                               entropy=selector.entropy_rows(P), reps=reps)
+        X = self.pool.features[unlabeled]
+        ent = selector.entropy_rows(self.model.predict(X))
+        return selector.Scores(ids=self.pool.ids[unlabeled], in_total=np.zeros(len(X)),
+                               entropy=ent, reps=X)
 
     def _select_phase(self, rngs):
         cfg = self.config
@@ -320,8 +312,7 @@ class ActiveLearningLoop:
         strategy = "random" if cfg.strategy == "ideal" else cfg.strategy
         labeled_reps = None
         if strategy == "coreset":
-            labeled_reps = self.model.tap_representation(
-                self.pool.features[self.pool.labels >= 0])
+            labeled_reps = self.pool.features[self.pool.labels >= 0]
         selected = baseline_select(strategy, scores, cfg.budget,
                                    rngs["select"], labeled_reps=labeled_reps)
         return selected, scores

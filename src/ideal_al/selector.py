@@ -25,7 +25,7 @@ class Scores:
     ids: np.ndarray       # (n,) int
     in_total: np.ndarray  # (n,) fused inconsistency; zeros when unranked
     entropy: np.ndarray   # (n,) prediction entropy
-    reps: np.ndarray      # (n, h) representations at the tap layer
+    reps: np.ndarray      # (n, d) normalized feature rows
 
     def __post_init__(self):
         if not (len(self.ids) == len(self.in_total) == len(self.entropy) == len(self.reps)):

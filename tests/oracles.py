@@ -30,10 +30,9 @@ def score_pool_whole(loop, rng):
     if cfg.disable_fine:
         in_fin = np.zeros(len(ids))
     else:
-        H_bar = model.tap_representation(flat)
         R, _ = augment.vat_perturbation_batch(
-            model, H_bar, P_bar_flat, cfg.epsilon, cfg.xi, rng)
-        P_hat_flat = model.predict(H_bar + R, start=model.tap_layer)
+            model, flat, P_bar_flat, cfg.epsilon, cfg.xi, rng)
+        P_hat_flat = model.predict(flat + R)
         in_fin = kl_rows(P_bar_flat, P_hat_flat).reshape(len(ids), cfg.k_aug).sum(axis=1)
 
     gamma = cfg.gamma
@@ -44,8 +43,7 @@ def score_pool_whole(loop, rng):
     in_total = selector.total_inconsistency(
         selector.percentiles(in_coa), selector.percentiles(in_fin), gamma)
     return selector.Scores(ids=ids, in_total=in_total,
-                           entropy=selector.entropy_rows(P_orig),
-                           reps=model.tap_representation(X))
+                           entropy=selector.entropy_rows(P_orig), reps=X)
 
 
 def coreset_select_whole(scores, budget, labeled_reps):

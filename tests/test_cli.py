@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from ideal_al.cli import main
 from ideal_al.config import LoopConfig, save_config
 
@@ -30,6 +32,16 @@ class TestSynth:
         lines = p.read_text().splitlines()
         assert len(lines) == 81
         assert lines[0].startswith("id,label,")
+
+    @pytest.mark.parametrize("flag,value", [("--seed", "-3"), ("--dim", "0")])
+    def test_bad_argument_exits_2_without_writing(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "synth.csv"
+        # argparse keeps the last value of a repeated flag
+        assert main(["synth", "--classes", "2", "--clusters", "2", "--per-class", "5",
+                     "--noise", "0.1", "--seed", "0", "--dim", "2", flag, value,
+                     "--out", str(out)]) == 2
+        assert flag[2:] in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRun:
@@ -107,6 +119,19 @@ class TestRun:
         assert "cycle=" not in out
         assert "data error" in err
 
+    def test_test_class_missing_from_pool_exits_3(self, tmp_path, capsys):
+        pool = make_dataset(tmp_path)
+        test = tmp_path / "test.csv"
+        assert main(["synth", "--classes", "3", "--clusters", "2", "--per-class", "10",
+                     "--noise", "0.1", "--seed", "1", "--dim", "4",
+                     "--out", str(test)]) == 0
+        cfg = make_config(tmp_path, pool, test_dataset=str(test))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert "cycle=" not in out
+        assert "class 2" in err
+
     def test_budget_beyond_seeded_pool_exits_2(self, tmp_path, capsys):
         cfg = make_config(tmp_path, make_dataset(tmp_path, per_class=6), budget=20)
         out = tmp_path / "out"
@@ -161,3 +186,12 @@ class TestAblateAndReport:
 
     def test_report_empty_dir(self, tmp_path):
         assert main(["report", "--in", str(tmp_path)]) == 3
+
+    def test_report_corrupt_line_exits_3(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        good = json.dumps({"cycle": 0, "n_labeled": 9, "accuracy": 0.5,
+                           "strategy": "ideal"})
+        (run_dir / "metrics.jsonl").write_text(good + "\n" + good[:20] + "\n")
+        assert main(["report", "--in", str(tmp_path)]) == 3
+        assert "metrics.jsonl:2" in capsys.readouterr().err

@@ -138,9 +138,14 @@ class TestConfigParsing:
                             strategy="entropy", disable_fine=True)
         assert parse_config(format_config(config)) == config
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown"):
-            parse_config("budget = 5\nlearning_rte = 0.1\n")
+    # tap_layer is a removed key: a stale config or config.snapshot that
+    # still names it must fail by name
+    @pytest.mark.parametrize("line", ["learning_rte = 0.1", "tap_layer = 0",
+                                      "tap_layer = 1"],
+                             ids=["learning_rte", "tap_layer_0", "tap_layer_1"])
+    def test_unknown_key_rejected(self, line):
+        with pytest.raises(ConfigError, match=f"'{line.split()[0]}'.*unknown"):
+            parse_config(f"budget = 5\n{line}\n")
 
     def test_comments_and_blanks(self):
         config = parse_config("# comment\n\nbudget = 9  # inline\n")

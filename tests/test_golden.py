@@ -1,7 +1,7 @@
 """Golden trace: the loop's observable behaviour, pinned across commits.
 
-Every strategy, every ablation flag, both stages off at once, `tap_layer=1`
-and `cold_start` run on two small datasets: one in id order, and a subset
+Every strategy, every ablation flag, both stages off at once and
+`cold_start` run on two small datasets: one in id order, and a subset
 with shuffled rows and non-contiguous ids, so that row order differs from id
 order. Each run's fingerprint is its initial labeled ids, per cycle the
 selected ids and the exact `repr` of `accuracy` and `mean_in_total`, and the
@@ -43,7 +43,6 @@ VARIANTS = {
     "no_fine": {"disable_fine": True},
     "no_density": {"disable_density": True},
     "no_ranker_no_reranker": {"disable_ranker": True, "disable_reranker": True},
-    "tap_layer_1": {"tap_layer": 1},
     "cold_start": {"cold_start": True},
 }
 

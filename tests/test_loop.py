@@ -295,3 +295,8 @@ class TestInputs:
         with pytest.raises(DataError):
             ActiveLearningLoop(fast_config(), small_dataset(dim=4),
                                test_data=small_dataset(dim=3))
+
+    def test_test_data_class_beyond_pool(self):
+        test = synthetic_dataset(3, 2, 10, noise=0.1, seed=1, dim=4)
+        with pytest.raises(DataError, match="class 2"):
+            ActiveLearningLoop(fast_config(), small_dataset(dim=4), test_data=test)

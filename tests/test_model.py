@@ -47,19 +47,8 @@ class TestForward:
 
     def test_wrong_dim_raises(self):
         m = tiny_model()
-        for fn in (m.predict, m.tap_representation):
-            with pytest.raises(InputShapeError):
-                fn(np.array([[1.0, 2.0, 3.0]]))
-
-    def test_tap_layer_exposed(self):
-        m = Classifier.from_sizes([3, 5, 2], tap_layer=1,
-                                  rng=np.random.default_rng(1))
-        X = np.random.default_rng(2).uniform(-1, 1, (4, 3))
-        H = m.tap_representation(X)
-        assert H.shape == (4, 5)
-        assert np.all(H >= 0)  # post-ReLU
-        # finishing the pass from the tap is the whole forward pass
-        assert np.array_equal(m.predict(H, start=1), m.predict(X))
+        with pytest.raises(InputShapeError):
+            m.predict(np.array([[1.0, 2.0, 3.0]]))
 
     @given(x=st.lists(st.floats(min_value=-5, max_value=5), min_size=2, max_size=2))
     @settings(max_examples=200, deadline=None)

@@ -16,7 +16,6 @@ VARIANTS = {
     "ideal": {},
     "disable_coarse": {"disable_coarse": True},
     "disable_fine": {"disable_fine": True},
-    "tap_layer=1": {"tap_layer": 1},
 }
 
 
@@ -105,27 +104,3 @@ def test_scan_peak_memory_at_40k_rows():
     finally:
         tracemalloc.stop()
     assert peak < 100 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-
-
-class FirstLayerRows(np.ndarray):
-    """First-layer weights that count the rows multiplied into them."""
-
-    rows = 0
-
-    def __rmatmul__(self, other):
-        FirstLayerRows.rows += len(other)
-        return np.asarray(other) @ self.view(np.ndarray)
-
-
-def test_tap_layer_scan_runs_the_encoder_once_per_row(monkeypatch):
-    # with tap_layer = 1 the encoder output of every original row and every
-    # coarse variant feeds both its prediction and the VAT step
-    lp = trained_loop(tap_layer=1)
-    before = lp._score_pool(np.random.default_rng(9))
-    monkeypatch.setattr(FirstLayerRows, "rows", 0)
-    lp.model.weights[0] = lp.model.weights[0].view(FirstLayerRows)
-    after = lp._score_pool(np.random.default_rng(9))
-    n, k = lp.pool.n_unlabeled, lp.config.k_aug
-    assert FirstLayerRows.rows == n * (k + 1)
-    for field in ("in_total", "entropy", "reps"):
-        assert np.array_equal(getattr(before, field), getattr(after, field)), field
