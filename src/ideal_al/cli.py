@@ -39,7 +39,6 @@ def _cmd_run(args):
         config = dataclasses.replace(config, seed=args.seed)
     if args.strategy is not None:
         config = dataclasses.replace(config, strategy=args.strategy)
-    config.validate()
     dataset, test_data = _load_run_inputs(config)
     loop = ActiveLearningLoop(config, dataset, test_data=test_data)
     reports = loop.run()
@@ -69,14 +68,27 @@ def _cmd_ablate(args):
     base = load_config(args.config)
     dataset, test_data = _load_run_inputs(base)
     for name, overrides in ABLATION_VARIANTS:
-        config = dataclasses.replace(base, **overrides).validate()
+        config = dataclasses.replace(base, **overrides)
         loop = ActiveLearningLoop(config, dataset, test_data=test_data)
         reports = loop.run()
         out_dir = os.path.join(args.out, name)
         write_reports(reports, out_dir, config=config)
-        final = reports[-1].accuracy if reports else float("nan")
-        print(f"{name:12s} final_accuracy={final:.4f}")
+        print(f"{name:12s} final_accuracy={reports[-1].accuracy:.4f}")
     return 0
+
+
+def _report_record(line, where):
+    """One metrics.jsonl line as a dict holding every key the report prints."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{where}: {exc.msg}") from None
+    if not isinstance(rec, dict):
+        raise DataError(f"{where}: not a JSON object")
+    for key in ("strategy", "cycle", "n_labeled", "accuracy"):
+        if key not in rec:
+            raise DataError(f"{where}: no {key!r} key")
+    return rec
 
 
 def _cmd_report(args):
@@ -88,10 +100,7 @@ def _cmd_report(args):
             with open(path, encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, 1):
                     if line.strip():
-                        try:
-                            records.append(json.loads(line))
-                        except json.JSONDecodeError as exc:
-                            raise DataError(f"{path}:{lineno}: {exc.msg}") from None
+                        records.append(_report_record(line, f"{path}:{lineno}"))
             if records:
                 runs.append((os.path.relpath(root, args.in_dir), records))
     if not runs:

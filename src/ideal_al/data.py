@@ -3,13 +3,14 @@
 Dataset files are CSV: a header row, then one row per sample holding the
 integer id, the integer class index, and d feature values. Features are
 min-max normalized to [0, 1] per dimension on load (zero-range dimensions
-map to 0); the raw values are retained for lossless round trips.
+map to 0); the dataset keeps that frame (`lo`, `span`) so that another
+file's rows can be expressed in it.
 """
 
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,11 +19,21 @@ from .errors import DataError, UsageError
 
 @dataclass
 class Dataset:
-    ids: np.ndarray          # (n,) int
-    features: np.ndarray     # (n, d) normalized to [0, 1]
-    raw_features: np.ndarray  # (n, d) as stored on disk
-    labels: np.ndarray       # (n,) int class indices (oracle-only)
+    ids: np.ndarray       # (n,) int
+    features: np.ndarray  # (n, d) (raw - lo) / span, 0 where span == 0
+    labels: np.ndarray    # (n,) int class indices (oracle-only)
     n_classes: int
+    lo: np.ndarray        # (d,) frame: per-column min of the rows it was fit on
+    span: np.ndarray      # (d,) frame: per-column max - min of those rows
+
+    @classmethod
+    def from_raw(cls, ids, raw, labels, n_classes):
+        """Rows as stored, scaled to [0, 1] by their own per-column range."""
+        raw = np.asarray(raw, dtype=float)
+        lo = raw.min(axis=0)
+        span = raw.max(axis=0) - lo
+        return cls(np.asarray(ids, dtype=int), _scaled(raw, lo, span),
+                   np.asarray(labels, dtype=int), int(n_classes), lo, span)
 
     def __len__(self):
         return len(self.ids)
@@ -32,23 +43,20 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, index):
-        return Dataset(
-            ids=self.ids[index],
-            features=self.features[index],
-            raw_features=self.raw_features[index],
-            labels=self.labels[index],
-            n_classes=self.n_classes,
-        )
+        return replace(self, ids=self.ids[index], labels=self.labels[index],
+                       features=self.features[index])
+
+    def in_frame_of(self, other):
+        """These rows in `other`'s frame; self (bit for bit) if it is theirs."""
+        if np.array_equal(self.lo, other.lo) and np.array_equal(self.span, other.span):
+            return self
+        raw = self.features * self.span + self.lo
+        return replace(self, features=_scaled(raw, other.lo, other.span),
+                       lo=other.lo, span=other.span)
 
 
-def _normalize(raw):
-    lo = raw.min(axis=0)
-    hi = raw.max(axis=0)
-    span = hi - lo
-    out = np.zeros_like(raw)
-    nonflat = span > 0
-    out[:, nonflat] = (raw[:, nonflat] - lo[nonflat]) / span[nonflat]
-    return out
+def _scaled(raw, lo, span):
+    return np.divide(raw - lo, span, out=np.zeros_like(raw), where=span > 0)
 
 
 def load_dataset(path):
@@ -85,14 +93,7 @@ def load_dataset(path):
         raise DataError(f"{path}: no data rows")
     if len(set(ids)) != len(ids):
         raise DataError(f"{path}: duplicate sample ids")
-    raw = np.array(rows, dtype=float)
-    return Dataset(
-        ids=np.array(ids, dtype=int),
-        features=_normalize(raw),
-        raw_features=raw,
-        labels=np.array(labels, dtype=int),
-        n_classes=int(max(labels)) + 1,
-    )
+    return Dataset.from_raw(ids, rows, labels, max(labels) + 1)
 
 
 def generate_synthetic(n_classes, clusters_per_class, per_class, noise, seed, dim=2):
@@ -103,13 +104,13 @@ def generate_synthetic(n_classes, clusters_per_class, per_class, noise, seed, di
     isotropic Gaussian noise of the given scale.
     """
     if n_classes < 2:
-        raise DataError("need at least two classes")
+        raise UsageError("classes must be >= 2")
     if clusters_per_class < 1:
-        raise DataError("need at least one cluster per class")
+        raise UsageError("clusters must be >= 1")
     if per_class < 1:
-        raise DataError("need at least one sample per class")
-    if noise < 0:
-        raise DataError("noise must be nonnegative")
+        raise UsageError("per-class must be >= 1")
+    if not 0 <= noise < np.inf:  # also rejects nan
+        raise UsageError("noise must be finite and >= 0")
     if seed < 0:
         raise UsageError("seed must be >= 0")
     if dim < 1:
@@ -150,14 +151,8 @@ def synthetic_dataset(n_classes, clusters_per_class, per_class, noise, seed, dim
     header, rows = generate_synthetic(
         n_classes, clusters_per_class, per_class, noise, seed, dim=dim
     )
-    raw = np.array([[float(v) for v in r[2:]] for r in rows])
-    return Dataset(
-        ids=np.array([r[0] for r in rows], dtype=int),
-        features=_normalize(raw),
-        raw_features=raw,
-        labels=np.array([r[1] for r in rows], dtype=int),
-        n_classes=n_classes,
-    )
+    raw = [[float(v) for v in r[2:]] for r in rows]
+    return Dataset.from_raw([r[0] for r in rows], raw, [r[1] for r in rows], n_classes)
 
 
 @dataclass

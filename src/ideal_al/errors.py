@@ -27,7 +27,3 @@ class DataError(IdealError):
 
 class NumericError(IdealError):
     """A non-finite value appeared where the computation requires finiteness."""
-
-
-class ExhaustedPoolError(IdealError):
-    """Unlabeled pool too small to serve the requested budget."""

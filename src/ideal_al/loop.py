@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import augment, propagator, selector
-from .errors import ConfigError, DataError, ExhaustedPoolError, UsageError
+from .errors import ConfigError, DataError, UsageError
 from .model import Classifier, kl_rows, train_step
 
 # Pool rows scored per block: bounds the scan's (rows * k_aug, width)
@@ -138,22 +138,25 @@ class ActiveLearningLoop:
         config.validate()
         self.config = config
         self.dataset = dataset
-        self.test_data = test_data if test_data is not None else dataset
-        if self.test_data.dim != dataset.dim:
-            raise DataError(f"test data has {self.test_data.dim} features, "
-                            f"the pool {dataset.dim}")
-        if self.test_data.labels.max() >= dataset.n_classes:
-            raise DataError(f"test data has class {self.test_data.labels.max()}, "
+        test = test_data if test_data is not None else dataset
+        if test.dim != dataset.dim:
+            raise DataError(f"test data has {test.dim} features, the pool {dataset.dim}")
+        if test.labels.max() >= dataset.n_classes:
+            raise DataError(f"test data has class {test.labels.max()}, "
                             f"the pool only 0..{dataset.n_classes - 1}")
+        # the model sees rows in the pool's frame, so the test rows must be too
+        self.test_data = test.in_frame_of(dataset)
         self.oracle = Oracle(dict(zip(dataset.ids.tolist(), dataset.labels.tolist())))
         self.reports = []
         self._init_pool_rng = np.random.default_rng(
             np.random.SeedSequence([config.seed, 0xA11]).generate_state(4)
         )
         self.pool = self._initial_pool()
-        if self.pool.n_unlabeled < config.budget:
-            raise ConfigError("budget", f"budget {config.budget} exceeds the "
-                              f"{self.pool.n_unlabeled} unlabeled rows left after seeding")
+        need = config.cycles * config.budget
+        if need > self.pool.n_unlabeled:
+            raise ConfigError("budget", f"{config.cycles} cycles x budget {config.budget} "
+                              f"= {need} exceed the {self.pool.n_unlabeled} unlabeled "
+                              "rows left after seeding")
         self.model = self._initial_model()
 
     # -- setup ---------------------------------------------------------
@@ -328,9 +331,6 @@ class ActiveLearningLoop:
 
     def run_cycle(self, t):
         cfg = self.config
-        if self.pool.n_unlabeled < cfg.budget:
-            raise ExhaustedPoolError(
-                f"unlabeled pool {self.pool.n_unlabeled} < budget {cfg.budget}")
         rngs = self._cycle_rngs(t)
         self._train_phase(rngs["train"])
         t0 = time.perf_counter()
@@ -354,16 +354,11 @@ class ActiveLearningLoop:
 
     def run(self):
         for t in range(self.config.cycles):
-            if self.pool.n_unlabeled < self.config.budget:
-                break  # exhausted pool: return the partial report stream
             self.run_cycle(t)
-        if self.reports:
-            # the loop's product is a model trained with the final pools, so
-            # the last report reflects one more training pass over them
-            final_rngs = self._cycle_rngs(len(self.reports))
-            self._train_phase(final_rngs["train"])
-            last = self.reports[-1]
-            last.accuracy = self.accuracy()
+        # the loop's product is a model trained with the final pools, so the
+        # last report reflects one more training pass over them
+        self._train_phase(self._cycle_rngs(len(self.reports))["train"])
+        self.reports[-1].accuracy = self.accuracy()
         return self.reports
 
 

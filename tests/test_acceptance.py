@@ -16,7 +16,7 @@ from scipy import stats
 
 from ideal_al.augment import vat_perturbation_batch
 from ideal_al.config import LoopConfig
-from ideal_al.data import Dataset, _normalize, synthetic_dataset
+from ideal_al.data import Dataset, synthetic_dataset
 from ideal_al.loop import ActiveLearningLoop, run
 from ideal_al.model import Classifier, grad_kl_wrt_input_batch, kl_rows
 from ideal_al.propagator import build_training_arrays, guess_labels_batch
@@ -275,8 +275,7 @@ def make_benchmark(seed):
     y = np.array(labels)
     order = rng.permutation(len(y))
     X, y = X[order], y[order]
-    ds = Dataset(ids=np.arange(len(y)), features=_normalize(X),
-                 raw_features=X, labels=y, n_classes=2)
+    ds = Dataset.from_raw(np.arange(len(y)), X, y, 2)
     return ds.subset(np.arange(2000)), ds.subset(np.arange(2000, 2600))
 
 
@@ -306,6 +305,7 @@ def benchmark_results():
     return results
 
 
+@pytest.mark.slow
 def test_criterion_07_directional_learning_benefit(benchmark_results):
     r = benchmark_results
     ideal, ent, rand = (r["ideal"].mean(), r["entropy"].mean(),
@@ -320,6 +320,7 @@ def test_criterion_07_directional_learning_benefit(benchmark_results):
            f"gap {100 * gap:.2f}pt, p {p:.4f}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_08_ablation_ordering(benchmark_results):
     # Each selection stage must contribute: the full method beats both
     # single-stage ablations on paired seeds. Whether a single stage alone
@@ -353,8 +354,7 @@ def big_pool(n, seed):
     rng = np.random.default_rng(seed)
     X = rng.uniform(0, 1, (n, 16))
     y = (X[:, :8].sum(axis=1) > X[:, 8:].sum(axis=1)).astype(int)
-    return Dataset(ids=np.arange(n), features=X, raw_features=X,
-                   labels=y, n_classes=2)
+    return Dataset.from_raw(np.arange(n), X, y, 2)
 
 
 def one_scoring_pass(n, seed):

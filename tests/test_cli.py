@@ -33,7 +33,9 @@ class TestSynth:
         assert len(lines) == 81
         assert lines[0].startswith("id,label,")
 
-    @pytest.mark.parametrize("flag,value", [("--seed", "-3"), ("--dim", "0")])
+    @pytest.mark.parametrize("flag,value", [
+        ("--seed", "-3"), ("--dim", "0"), ("--classes", "1"), ("--clusters", "0"),
+        ("--per-class", "0"), ("--noise", "-1"), ("--noise", "nan")])
     def test_bad_argument_exits_2_without_writing(self, flag, value, tmp_path, capsys):
         out = tmp_path / "synth.csv"
         # argparse keeps the last value of a repeated flag
@@ -140,6 +142,18 @@ class TestRun:
         assert "budget" in capsys.readouterr().err
         assert not (out / "metrics.jsonl").exists()
 
+    def test_cycles_times_budget_beyond_seeded_pool_exits_2(self, tmp_path, capsys):
+        # 12 rows, 4 seeded: the 8 left serve 2 cycles of budget 3, not 3
+        cfg = make_config(tmp_path, make_dataset(tmp_path, per_class=6), budget=3,
+                          cycles=3)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert "cycle=" not in stdout
+        assert "3 cycles x budget 3" in err
+        assert not (out / "metrics.jsonl").exists()
+
     def test_class_index_gap_exits_3(self, tmp_path, capsys):
         pool = write_csv(tmp_path, [0, 0, 0, 2, 2, 2])
         assert main(["run", "--config", str(make_config(tmp_path, pool, budget=1))]) == 3
@@ -184,6 +198,18 @@ class TestAblateAndReport:
         assert "final_accuracy" not in out
         assert "budget" in err
 
+    def test_ablate_cycles_times_budget_beyond_seeded_pool_exits_2(self, tmp_path,
+                                                                    capsys):
+        cfg = make_config(tmp_path, make_dataset(tmp_path, per_class=6), budget=3,
+                          cycles=3)
+        out = tmp_path / "a"
+        capsys.readouterr()
+        assert main(["ablate", "--config", str(cfg), "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert "final_accuracy" not in stdout
+        assert "3 cycles x budget 3" in err
+        assert not list(tmp_path.rglob("metrics.jsonl"))
+
     def test_report_empty_dir(self, tmp_path):
         assert main(["report", "--in", str(tmp_path)]) == 3
 
@@ -195,3 +221,14 @@ class TestAblateAndReport:
         (run_dir / "metrics.jsonl").write_text(good + "\n" + good[:20] + "\n")
         assert main(["report", "--in", str(tmp_path)]) == 3
         assert "metrics.jsonl:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,message", [
+        ("[1, 2]", "not a JSON object"),
+        ('{"cycle": 0}', "no 'strategy' key"),
+    ])
+    def test_report_malformed_record_exits_3(self, line, message, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "metrics.jsonl").write_text(line + "\n")
+        assert main(["report", "--in", str(tmp_path)]) == 3
+        assert f"metrics.jsonl:1: {message}" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from ideal_al.data import (
     write_dataset,
     write_reports,
 )
-from ideal_al.errors import ConfigError, DataError
+from ideal_al.errors import ConfigError, DataError, UsageError
 from ideal_al.loop import CycleReport
 
 
@@ -80,7 +80,9 @@ class TestGenerateSynthetic:
         write_dataset(header, rows, p)
         ds = load_dataset(p)
         original = np.array([[float(v) for v in r[2:]] for r in rows])
-        assert np.array_equal(ds.raw_features, original)
+        assert np.array_equal(ds.lo, original.min(axis=0))
+        assert np.array_equal(ds.span, original.max(axis=0) - original.min(axis=0))
+        assert np.allclose(ds.features * ds.span + ds.lo, original, rtol=0, atol=1e-12)
         assert np.array_equal(ds.labels, np.array([r[1] for r in rows]))
 
     def test_matches_in_memory_variant(self, tmp_path):
@@ -89,13 +91,14 @@ class TestGenerateSynthetic:
         write_dataset(header, rows, p)
         from_file = load_dataset(p)
         in_mem = synthetic_dataset(2, 2, 30, noise=0.1, seed=7, dim=3)
-        assert np.array_equal(from_file.raw_features, in_mem.raw_features)
+        for field in ("features", "lo", "span"):
+            assert np.array_equal(getattr(from_file, field), getattr(in_mem, field))
         assert np.array_equal(from_file.labels, in_mem.labels)
 
     def test_invalid_spec(self):
-        with pytest.raises(DataError):
+        with pytest.raises(UsageError):
             generate_synthetic(1, 2, 10, noise=0.1, seed=0)
-        with pytest.raises(DataError):
+        with pytest.raises(UsageError):
             generate_synthetic(2, 2, 10, noise=-1.0, seed=0)
 
 

@@ -5,8 +5,9 @@ import pytest
 from scipy import stats
 
 from ideal_al.config import LoopConfig
-from ideal_al.data import synthetic_dataset
-from ideal_al.errors import ConfigError, DataError, ExhaustedPoolError, UsageError
+from ideal_al.data import (Dataset, generate_synthetic, load_dataset,
+                           synthetic_dataset, write_dataset)
+from ideal_al.errors import ConfigError, DataError, UsageError
 from ideal_al.loop import ActiveLearningLoop, Oracle, Pool, baseline_select, run
 from ideal_al.selector import Scores, select
 
@@ -93,20 +94,12 @@ class TestPoolBookkeeping:
         all_selected = [sid for r in reports for sid in r.selected_ids]
         assert len(all_selected) == len(set(all_selected))
 
-    def test_exhausted_pool_stops_early(self):
+    def test_cycles_times_budget_beyond_seeded_pool_is_a_config_error(self):
+        # 20 rows, 4 seeded: the 16 left serve 3 cycles of 5, not 4
         ds = small_dataset(per_class=10)
-        config = fast_config(budget=7, cycles=10, train_steps_per_cycle=2)
-        reports = run(config, ds)
-        assert 0 < len(reports) < 10
-
-    def test_run_cycle_raises_when_budget_unservable(self):
-        # 8 rows, 4 seeded: the first cycle labels the other 4, the second
-        # finds none left
-        ds = small_dataset(per_class=4)
-        loop = ActiveLearningLoop(fast_config(budget=4), ds)
-        loop.run_cycle(0)
-        with pytest.raises(ExhaustedPoolError):
-            loop.run_cycle(1)
+        ActiveLearningLoop(fast_config(budget=5, cycles=3), ds)
+        with pytest.raises(ConfigError, match="4 cycles x budget 5 = 20 exceed the 16"):
+            ActiveLearningLoop(fast_config(budget=5, cycles=4), ds)
 
     def test_budget_beyond_seeded_pool_is_a_config_error(self):
         ds = small_dataset(per_class=4)
@@ -145,6 +138,32 @@ class TestPoolBookkeeping:
             if pool.labels[k] >= 0:
                 assert pool.labels[k] == shuffled.labels[row_of[sid]]
         assert pool.labeled.tolist() == sorted(loop.oracle.audit)
+
+
+class TestTestFrame:
+    def test_test_file_rows_take_the_pool_frame(self, tmp_path):
+        # each file alone is scaled by its own range: the first 20 rows span
+        # less than the pool does
+        header, rows = generate_synthetic(2, 2, 50, noise=0.1, seed=0, dim=4)
+        write_dataset(header, rows, tmp_path / "pool.csv")
+        write_dataset(header, rows[:20], tmp_path / "test.csv")
+        pool, test = load_dataset(tmp_path / "pool.csv"), load_dataset(tmp_path / "test.csv")
+        assert np.abs(test.features - pool.features[:20]).max() > 0.01
+        loop = ActiveLearningLoop(fast_config(), pool, test_data=test)
+        assert np.abs(loop.test_data.features - pool.features[:20]).max() < 1e-12
+        assert np.array_equal(loop.test_data.ids, pool.ids[:20])
+
+    def test_subset_of_the_pool_is_used_as_is(self):
+        ds = small_dataset()
+        test = ds.subset(np.arange(20))
+        assert ActiveLearningLoop(fast_config(), ds, test_data=test).test_data is test
+
+    def test_flat_pool_column_maps_to_zero(self):
+        raw = np.column_stack([np.arange(20.0), np.full(20, 5.0)])
+        pool = Dataset.from_raw(np.arange(20), raw, np.arange(20) % 2, 2)
+        test = Dataset.from_raw([0, 1], [[-2.0, 4.0], [38.0, 9.0]], [0, 1], 2)
+        got = ActiveLearningLoop(fast_config(), pool, test_data=test).test_data.features
+        assert np.allclose(got, [[-2 / 19, 0.0], [2.0, 0.0]], rtol=0, atol=1e-12)
 
 
 class TestPool:

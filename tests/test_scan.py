@@ -94,8 +94,7 @@ def test_scan_peak_memory_at_40k_rows():
     rng = np.random.default_rng(3)
     X = rng.uniform(0, 1, (40_000, 16))
     y = (X[:, :8].sum(axis=1) > X[:, 8:].sum(axis=1)).astype(int)
-    ds = Dataset(ids=np.arange(len(X)), features=X, raw_features=X, labels=y,
-                 n_classes=2)
+    ds = Dataset.from_raw(np.arange(len(X)), X, y, 2)
     lp = ActiveLearningLoop(LoopConfig(budget=20, m_cand=100, seed=3), ds)
     tracemalloc.start()
     try:
