@@ -85,9 +85,13 @@ def _report_record(line, where):
         raise DataError(f"{where}: {exc.msg}") from None
     if not isinstance(rec, dict):
         raise DataError(f"{where}: not a JSON object")
-    for key in ("strategy", "cycle", "n_labeled", "accuracy"):
+    for key, types in (("strategy", str), ("cycle", int), ("n_labeled", int),
+                       ("accuracy", (int, float))):
         if key not in rec:
             raise DataError(f"{where}: no {key!r} key")
+        # JSON true/false load as bool, which is an int subclass
+        if not isinstance(rec[key], types) or isinstance(rec[key], bool):
+            raise DataError(f"{where}: {key!r} has the wrong type: {rec[key]!r}")
     return rec
 
 

@@ -8,8 +8,11 @@ file's rows can be expressed in it.
 """
 
 import csv
+import itertools
 import json
 import os
+import re
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,8 +63,12 @@ def _scaled(raw, lo, span):
 
 
 def load_dataset(path):
-    """Read a dataset CSV; infers class count and feature dimension."""
-    ids, labels, rows = [], [], []
+    """Read a dataset CSV; infers class count and feature dimension.
+
+    The header is read with `csv`; every data row is parsed by one
+    `np.loadtxt` call. Only when that call refuses the file, or a row fails a
+    check, is the file read again line by line to name the first bad line.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -70,30 +77,70 @@ def load_dataset(path):
             raise DataError(f"{path}: empty file") from None
         if len(header) < 3:
             raise DataError(f"{path}: header must have id, label and features")
-        d = len(header) - 2
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 2:
-                raise DataError(f"{path}:{lineno}: expected {d + 2} fields, got {len(row)}")
-            try:
-                sid = int(row[0])
-                label = int(row[1])
-                feats = [float(v) for v in row[2:]]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            if label < 0:
-                raise DataError(f"{path}:{lineno}: negative class index {label}")
-            if not all(np.isfinite(feats)):
-                raise DataError(f"{path}:{lineno}: non-finite feature value")
-            ids.append(sid)
-            labels.append(label)
-            rows.append(feats)
-    if not ids:
+        header_lines = reader.line_num
+    dtype = np.dtype([("id", np.int64), ("label", np.int64),
+                      ("x", np.float64, (len(header) - 2,))])
+    try:
+        table = _parse(path, dtype, skiprows=header_lines)
+        bad = _row_error(table)
+    except ValueError as exc:
+        bad = _reason(exc)
+    if bad:
+        raise _line_error(path, header_lines, dtype, bad)
+    if not len(table):
         raise DataError(f"{path}: no data rows")
-    if len(set(ids)) != len(ids):
+    # copies: a field view would keep the whole (n, d + 2) table alive
+    ids, labels = table["id"].copy(), table["label"].copy()
+    if len(np.unique(ids)) != len(ids):
         raise DataError(f"{path}: duplicate sample ids")
-    return Dataset.from_raw(ids, rows, labels, max(labels) + 1)
+    return Dataset.from_raw(ids, table["x"], labels, labels.max() + 1)
+
+
+def _parse(source, dtype, skiprows=0):
+    """Data rows of a path or a list of lines as one structured array; blank
+    lines are skipped and hold no row."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        return np.loadtxt(source, dtype=dtype, delimiter=",", comments=None,
+                          quotechar='"', ndmin=1, skiprows=skiprows,
+                          encoding="utf-8")
+
+
+def _row_error(table):
+    """Why the first row of `table` that fails a check fails it, or None."""
+    negative = table["label"] < 0
+    bad = negative | ~np.isfinite(table["x"]).all(axis=1)
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    if negative[i]:
+        return f"negative class index {table['label'][i]}"
+    return "non-finite feature value"
+
+
+def _line_error(path, header_lines, dtype, reason):
+    """DataError naming the first data line that does not parse or fails a
+    check, each line parsed on its own by `_parse`; the whole file's `reason`
+    if no line fails alone."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = itertools.islice(fh, header_lines, None)
+        for lineno, line in enumerate(lines, start=header_lines + 1):
+            try:
+                bad = _row_error(_parse([line], dtype))
+            except ValueError as exc:
+                bad = _reason(exc)
+            if bad:
+                return DataError(f"{path}:{lineno}: {bad}")
+    return DataError(f"{path}: {reason}")
+
+
+def _reason(exc):
+    """numpy's parse error without its row number, which `_line_error`
+    replaces with the file line."""
+    return re.sub(r" at row \d+(?:, column (\d+))?.*",
+                  lambda m: f" in column {m[1]}" if m[1] else "",
+                  str(exc), flags=re.S)
 
 
 def generate_synthetic(n_classes, clusters_per_class, per_class, noise, seed, dim=2):

@@ -1,10 +1,13 @@
 """Brute-force references for the package's row-wise and blocked code paths."""
 
+import csv
 import math
 
 import numpy as np
 
 from ideal_al import augment, selector
+from ideal_al.data import Dataset
+from ideal_al.errors import DataError
 from ideal_al.model import kl_rows
 
 
@@ -81,3 +84,41 @@ def weighted_average(preds, weights):
     """Weighted average of prediction rows."""
     total = sum(w * np.asarray(p, dtype=float) for p, w in zip(preds, weights))
     return total / sum(weights)
+
+
+def load_dataset_reference(path):
+    """`data.load_dataset` one row at a time: `csv` fields through Python's
+    `int`/`float`, checked row by row."""
+    ids, labels, rows = [], [], []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        if len(header) < 3:
+            raise DataError(f"{path}: header must have id, label and features")
+        d = len(header) - 2
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != d + 2:
+                raise DataError(f"{path}:{lineno}: expected {d + 2} fields, got {len(row)}")
+            try:
+                sid = int(row[0])
+                label = int(row[1])
+                feats = [float(v) for v in row[2:]]
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            if label < 0:
+                raise DataError(f"{path}:{lineno}: negative class index {label}")
+            if not all(np.isfinite(feats)):
+                raise DataError(f"{path}:{lineno}: non-finite feature value")
+            ids.append(sid)
+            labels.append(label)
+            rows.append(feats)
+    if not ids:
+        raise DataError(f"{path}: no data rows")
+    if len(set(ids)) != len(ids):
+        raise DataError(f"{path}: duplicate sample ids")
+    return Dataset.from_raw(ids, rows, labels, max(labels) + 1)

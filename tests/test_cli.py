@@ -225,6 +225,12 @@ class TestAblateAndReport:
     @pytest.mark.parametrize("line,message", [
         ("[1, 2]", "not a JSON object"),
         ('{"cycle": 0}', "no 'strategy' key"),
+        ('{"cycle": 0, "strategy": "ideal", "n_labeled": 4, "accuracy": null}',
+         "'accuracy' has the wrong type: None"),
+        ('{"cycle": 0, "strategy": "ideal", "n_labeled": 4.5, "accuracy": 0.5}',
+         "'n_labeled' has the wrong type: 4.5"),
+        ('{"cycle": "0", "strategy": "ideal", "n_labeled": 4, "accuracy": 0.5}',
+         "'cycle' has the wrong type: '0'"),
     ])
     def test_report_malformed_record_exits_3(self, line, message, tmp_path, capsys):
         run_dir = tmp_path / "run"
