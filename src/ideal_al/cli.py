@@ -9,9 +9,9 @@ import json
 import os
 import sys
 
-from .config import load_config
+from .config import STRATEGIES, load_config
 from .data import generate_synthetic, load_dataset, write_dataset, write_reports
-from .errors import ConfigError, DataError, NumericError, UsageError
+from .errors import NOT_UTF8, ConfigError, DataError, NumericError, UsageError
 from .loop import ActiveLearningLoop
 
 ABLATION_VARIANTS = [
@@ -79,6 +79,8 @@ def _cmd_ablate(args):
 
 def _report_record(line, where):
     """One metrics.jsonl line as a dict holding every key the report prints."""
+    if NOT_UTF8.search(line):
+        raise DataError(f"{where}: not valid UTF-8")
     try:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -101,7 +103,7 @@ def _cmd_report(args):
         if "metrics.jsonl" in files:
             path = os.path.join(root, "metrics.jsonl")
             records = []
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8", errors="surrogateescape") as fh:
                 for lineno, line in enumerate(fh, 1):
                     if line.strip():
                         records.append(_report_record(line, f"{path}:{lineno}"))
@@ -132,8 +134,7 @@ def build_parser():
     p_run = sub.add_parser("run", help="execute an active-learning run")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--strategy",
-                       choices=["ideal", "random", "entropy", "coreset"], default=None)
+    p_run.add_argument("--strategy", choices=STRATEGIES, default=None)
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(func=_cmd_run)
 

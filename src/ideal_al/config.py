@@ -9,7 +9,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import NOT_UTF8, ConfigError
 
 STRATEGIES = ("ideal", "random", "entropy", "coreset")
 
@@ -135,8 +135,13 @@ def parse_config(text):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    bad = NOT_UTF8.search(text)
+    if bad:
+        lineno = text.count("\n", 0, bad.start()) + 1
+        raise ConfigError(f"line {lineno}", f"{path} is not valid UTF-8")
+    return parse_config(text)
 
 
 def format_config(config):

@@ -13,11 +13,11 @@ import json
 import os
 import re
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .errors import NOT_UTF8, DataError, UsageError
 
 
 @dataclass
@@ -69,12 +69,14 @@ def load_dataset(path):
     `np.loadtxt` call. Only when that call refuses the file, or a row fails a
     check, is the file read again line by line to name the first bad line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
+        if NOT_UTF8.search(",".join(header)):
+            raise DataError(f"{path}:{reader.line_num}: not valid UTF-8")
         if len(header) < 3:
             raise DataError(f"{path}: header must have id, label and features")
         header_lines = reader.line_num
@@ -120,12 +122,14 @@ def _row_error(table):
 
 
 def _line_error(path, header_lines, dtype, reason):
-    """DataError naming the first data line that does not parse or fails a
-    check, each line parsed on its own by `_parse`; the whole file's `reason`
-    if no line fails alone."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """DataError naming the first data line that is not UTF-8, does not parse
+    or fails a check, each line parsed on its own by `_parse`; the whole
+    file's `reason` if no line fails alone."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         lines = itertools.islice(fh, header_lines, None)
         for lineno, line in enumerate(lines, start=header_lines + 1):
+            if NOT_UTF8.search(line):
+                return DataError(f"{path}:{lineno}: not valid UTF-8")
             try:
                 bad = _row_error(_parse([line], dtype))
             except ValueError as exc:
@@ -219,15 +223,8 @@ def write_reports(reports, out_dir, config=None):
     id_paths = []
     with open(metrics_path, "w", encoding="utf-8") as fh:
         for rep in reports:
-            record = {
-                "cycle": rep.cycle,
-                "n_labeled": rep.n_labeled,
-                "accuracy": rep.accuracy,
-                "mean_in_total": rep.mean_in_total,
-                "select_ms": rep.select_ms,
-                "strategy": rep.strategy,
-                "seed": rep.seed,
-            }
+            record = asdict(rep)
+            del record["selected_ids"]  # one CSV per cycle below
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     for rep in reports:
         p = os.path.join(out_dir, f"selected_cycle{rep.cycle:03d}.csv")

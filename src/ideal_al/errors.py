@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+import re
+
+# what a byte that is not UTF-8 reads as under errors="surrogateescape"
+NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
 
 class IdealError(Exception):
     """Base class for all package errors."""

@@ -215,34 +215,25 @@ class ActiveLearningLoop:
         for _ in range(cfg.train_steps_per_cycle):
             bl = rng.choice(n_l, size=min(cfg.batch_size, n_l),
                             replace=n_l < cfg.batch_size)
-            Xl, Yl = Xl_all[bl], Yl_all[bl]
+            X, Y = Xl_all[bl], Yl_all[bl]
             if len(Xu_all):
                 bu = rng.choice(len(Xu_all), size=min(cfg.batch_size, len(Xu_all)),
                                 replace=False)
                 Xu = Xu_all[bu]
                 A = augment.coarse_augment_batch(Xu, cfg.k_aug, cfg.delta, rng)
                 flat = A.reshape(-1, A.shape[-1])
-                P_flat = self.model.predict(flat)
+                # one pass: the Xu rows feed the label guess, the variant rows
+                # are the VAT reference
+                P = self.model.predict(np.concatenate([Xu, flat]))
                 R, _ = augment.vat_perturbation_batch(
-                    self.model, flat, P_flat, cfg.epsilon, cfg.xi, rng)
+                    self.model, flat, P[len(Xu):], cfg.epsilon, cfg.xi, rng)
                 tilde = flat + R
                 P_tilde = self.model.predict(tilde).reshape(len(Xu), cfg.k_aug, -1)
-                guessed = propagator.guess_labels_batch(self.model.predict(Xu), P_tilde, w)
-                guessed_rep = np.repeat(guessed, cfg.k_aug, axis=0)
-                X = np.concatenate([Xl, Xu, tilde])
-                Y = np.concatenate([Yl, guessed, guessed_rep])
-                mask = np.zeros(len(X), dtype=bool)
-                mask[: len(Xl)] = True
-            else:
-                X, Y = Xl, Yl
-                mask = np.ones(len(X), dtype=bool)
-            sup, unsup, _, _ = propagator.build_training_arrays(
-                X, Y, mask, cfg.alpha, rng)
-            train_step(self.model,
-                       labeled=sup if len(sup[0]) else None,
-                       unlabeled=unsup if len(unsup[0]) else None,
-                       learning_rate=cfg.learning_rate,
-                       lambda_u=cfg.lambda_u)
+                guessed = propagator.guess_labels_batch(P[:len(Xu)], P_tilde, w)
+                X = np.concatenate([X, Xu, tilde])
+                Y = np.concatenate([Y, guessed, np.repeat(guessed, cfg.k_aug, axis=0)])
+            Xm, Ym, _, _ = propagator.build_training_arrays(X, Y, cfg.alpha, rng)
+            train_step(self.model, Xm, Ym, len(bl), cfg.learning_rate, cfg.lambda_u)
 
     # -- scoring + selection ------------------------------------------
 

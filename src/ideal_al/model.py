@@ -139,48 +139,45 @@ def _accumulate_param_grads(model, acts, preacts, delta, grads_w, grads_b):
             delta = (delta @ model.weights[i].T) * (preacts[i - 1] > 0)
 
 
-def train_step(model, labeled, unlabeled=None, learning_rate=0.05, lambda_u=1.0):
+def train_step(model, X, Y, n_sup, learning_rate, lambda_u):
     """One full-batch gradient-descent update on the combined objective.
 
-    labeled: (X, Y) with one-hot or soft targets, feeding cross-entropy.
-    unlabeled: optional (X, Y) guessed-label pairs, feeding mean squared
-    distance between the predicted simplex and the target simplex.
+    X, Y: (n, d) rows of the mixed batch and their (n, C) one-hot or soft
+    targets. The first `n_sup` rows feed cross-entropy, the rest the mean
+    squared distance between the predicted simplex and the target simplex.
+    One forward pass covers every row; the gradients are accumulated over the
+    supervised rows, then over the consistency rows.
 
     Returns (model, loss). The model is updated in place.
     """
     if learning_rate < 0:
         raise UsageError("learning rate must be nonnegative")
-    Xl, Yl = (None, None) if labeled is None else labeled
-    Xu, Yu = (None, None) if unlabeled is None else unlabeled
-    n_l = 0 if Xl is None else len(np.atleast_2d(Xl))
-    n_u = 0 if Xu is None else len(np.atleast_2d(Xu))
-    if n_l == 0 and n_u == 0:
-        raise UsageError("train_step requires a nonempty batch")
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    n, n_u = len(X), len(X) - n_sup
+    if n == 0 or not 0 <= n_sup <= n:
+        raise UsageError(f"train_step needs a nonempty batch and 0 <= n_sup <= {n}, "
+                         f"got n_sup {n_sup}")
 
+    acts, preacts = model._trace(X)
     grads_w = [np.zeros_like(w) for w in model.weights]
     grads_b = [np.zeros_like(b) for b in model.biases]
     loss = 0.0
 
-    if n_l:
-        Xl = np.atleast_2d(np.asarray(Xl, dtype=float))
-        Yl = np.atleast_2d(np.asarray(Yl, dtype=float))
-        acts, preacts = model._trace(Xl)
-        probs = acts[-1]
+    if n_sup:
+        a, z = [v[:n_sup] for v in acts], [v[:n_sup] for v in preacts]
+        probs, Yl = a[-1], Y[:n_sup]
         loss += -np.mean(np.sum(Yl * np.log(np.maximum(probs, PROB_FLOOR)), axis=1))
-        delta = (probs - Yl) / n_l
-        _accumulate_param_grads(model, acts, preacts, delta, grads_w, grads_b)
+        _accumulate_param_grads(model, a, z, (probs - Yl) / n_sup, grads_w, grads_b)
 
     if n_u:
-        Xu = np.atleast_2d(np.asarray(Xu, dtype=float))
-        Yu = np.atleast_2d(np.asarray(Yu, dtype=float))
-        acts, preacts = model._trace(Xu)
-        probs = acts[-1]
+        a, z = [v[n_sup:] for v in acts], [v[n_sup:] for v in preacts]
+        probs, Yu = a[-1], Y[n_sup:]
         C = probs.shape[1]
         loss += lambda_u * float(np.mean((probs - Yu) ** 2))
         # d/dq of mean_c (q-y)^2, then through the softmax Jacobian
         g = lambda_u * 2.0 * (probs - Yu) / (C * n_u)
         delta = probs * (g - np.sum(g * probs, axis=1, keepdims=True))
-        _accumulate_param_grads(model, acts, preacts, delta, grads_w, grads_b)
+        _accumulate_param_grads(model, a, z, delta, grads_w, grads_b)
 
     if not np.isfinite(loss):
         raise NumericError(f"non-finite training loss: {loss}")

@@ -25,13 +25,12 @@ def guess_labels_batch(P_orig, P_aug, weights):
     return total / w.sum()
 
 
-def build_training_arrays(H, Y, labeled_mask, alpha, rng):
-    """Mix a concatenated batch against a random permutation of itself.
+def build_training_arrays(H, Y, alpha, rng):
+    """Mix a batch against a random permutation of itself.
 
-    H: (n, d) representations, Y: (n, C) targets, labeled_mask: (n,) bools.
-    Returns ((Xl, Yl), (Xu, Yu), perm, lambdas) — rows whose first (dominant)
-    element is labeled feed the supervised loss, the rest the consistency
-    loss. Either partition may be empty (shape (0, .)).
+    H: (n, d) representations, Y: (n, C) targets. Returns (Xm, Ym, perm,
+    lambdas) in batch order: lambda >= 1/2, so mixed row i is dominated by
+    row i and keeps its place (the loop's labeled rows stay first).
     """
     n = len(H)
     if n == 0:
@@ -41,5 +40,4 @@ def build_training_arrays(H, Y, labeled_mask, alpha, rng):
     lam = np.maximum(lam, 1.0 - lam)[:, None]
     Xm = lam * H + (1.0 - lam) * H[perm]
     Ym = lam * Y + (1.0 - lam) * Y[perm]
-    sup = np.asarray(labeled_mask, dtype=bool)
-    return (Xm[sup], Ym[sup]), (Xm[~sup], Ym[~sup]), perm, lam[:, 0]
+    return Xm, Ym, perm, lam[:, 0]

@@ -7,8 +7,8 @@ import numpy as np
 
 from ideal_al import augment, selector
 from ideal_al.data import Dataset
-from ideal_al.errors import DataError
-from ideal_al.model import kl_rows
+from ideal_al.errors import DataError, UsageError
+from ideal_al.model import PROB_FLOOR, _accumulate_param_grads, kl_rows
 
 
 def score_pool_whole(loop, rng):
@@ -63,6 +63,38 @@ def coreset_select_whole(scores, budget, labeled_reps):
         min_dist = np.minimum(min_dist, np.linalg.norm(reps - reps[i], axis=1))
         min_dist[i] = -np.inf
     return chosen
+
+
+def train_step_two_pass(model, labeled, unlabeled, learning_rate, lambda_u):
+    """`model.train_step` as two forward passes: `labeled` and `unlabeled` are
+    (X, Y) pairs or None, each traced on its own, supervised gradients
+    accumulated first. Updates the model in place; returns the loss."""
+    n_l = 0 if labeled is None else len(labeled[0])
+    n_u = 0 if unlabeled is None else len(unlabeled[0])
+    if n_l == 0 and n_u == 0:
+        raise UsageError("train_step requires a nonempty batch")
+    grads_w = [np.zeros_like(w) for w in model.weights]
+    grads_b = [np.zeros_like(b) for b in model.biases]
+    loss = 0.0
+    if n_l:
+        Xl, Yl = (np.asarray(v, dtype=float) for v in labeled)
+        acts, preacts = model._trace(Xl)
+        probs = acts[-1]
+        loss += -np.mean(np.sum(Yl * np.log(np.maximum(probs, PROB_FLOOR)), axis=1))
+        _accumulate_param_grads(model, acts, preacts, (probs - Yl) / n_l,
+                                grads_w, grads_b)
+    if n_u:
+        Xu, Yu = (np.asarray(v, dtype=float) for v in unlabeled)
+        acts, preacts = model._trace(Xu)
+        probs = acts[-1]
+        loss += lambda_u * float(np.mean((probs - Yu) ** 2))
+        g = lambda_u * 2.0 * (probs - Yu) / (probs.shape[1] * n_u)
+        delta = probs * (g - np.sum(g * probs, axis=1, keepdims=True))
+        _accumulate_param_grads(model, acts, preacts, delta, grads_w, grads_b)
+    for i in range(model.n_layers):
+        model.weights[i] -= learning_rate * grads_w[i]
+        model.biases[i] -= learning_rate * grads_b[i]
+    return float(loss)
 
 
 def kl(p, q):

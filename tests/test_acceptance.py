@@ -398,11 +398,9 @@ def test_criterion_10_distribution_and_simplex_invariants():
         preds = rng.dirichlet(np.ones(c), size=(2_500, 3))
         g = guess_labels_batch(preds[:, 0], preds[:, 1:], [1.0, 1.0, 0.5])
         Y = np.concatenate([g, rng.dirichlet(np.ones(c), size=2_500)])
-        mask = np.arange(5_000) < 2_500
-        (_, Yl), (_, Yu), _, lams = build_training_arrays(
-            rng.uniform(0, 1, (5_000, 4)), Y, mask, 0.75, rng)
+        _, Ym, _, lams = build_training_arrays(rng.uniform(0, 1, (5_000, 4)), Y, 0.75, rng)
         ok &= bool(np.all(lams >= 0.5) and np.all(lams <= 1.0))
-        for V in (g, Yl, Yu):
+        for V in (g, Ym):
             ok &= bool(np.all(V >= -1e-12) and np.all(np.abs(V.sum(axis=1) - 1.0) < 1e-9))
         ent = entropy_rows(preds[:, 0])
         ok &= bool(np.all(ent >= -1e-12) and np.all(ent <= np.log(c) + 1e-12))

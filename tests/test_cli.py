@@ -89,6 +89,26 @@ class TestRun:
         p.write_text("no_such_key = 1\n")
         assert main(["run", "--config", str(p)]) == 2
 
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_bytes(b"budget = 5\ncycles = 2\xff\n")
+        assert main(["run", "--config", str(p)]) == 2
+        assert f"'line 2': {p} is not valid UTF-8" in capsys.readouterr().err
+
+    # a short file fails to decode as its header is read; a long one only when
+    # the rows are parsed, and again when the bad line is searched for
+    @pytest.mark.parametrize("body,line", [
+        (b"id,label,f\xff\n0,0,0.5\n1,1,0.7\n", 1),
+        (b"id,label,f0\n0,0,0.5\n1,1,0.\xff\n", 3),
+        (b"id,label,f0\n" + b"".join(b"%d,%d,0.5\n" % (i, i % 2) for i in range(3000))
+         + b"3000,1,\xff\n", 3002),
+    ], ids=["header", "row", "row_past_first_read"])
+    def test_dataset_not_utf8_exits_3(self, body, line, tmp_path, capsys):
+        ds = tmp_path / "pool.csv"
+        ds.write_bytes(body)
+        assert main(["run", "--config", str(make_config(tmp_path, ds))]) == 3
+        assert f"{ds}:{line}: not valid UTF-8" in capsys.readouterr().err
+
     def test_missing_dataset(self, tmp_path):
         cfg = make_config(tmp_path, tmp_path / "absent.csv")
         assert main(["run", "--config", str(cfg)]) == 3
@@ -221,6 +241,15 @@ class TestAblateAndReport:
         (run_dir / "metrics.jsonl").write_text(good + "\n" + good[:20] + "\n")
         assert main(["report", "--in", str(tmp_path)]) == 3
         assert "metrics.jsonl:2" in capsys.readouterr().err
+
+    def test_report_not_utf8_exits_3(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        good = json.dumps({"cycle": 0, "n_labeled": 9, "accuracy": 0.5,
+                           "strategy": "ideal"}).encode()
+        (run_dir / "metrics.jsonl").write_bytes(good + b"\n" + good.replace(b"ideal", b"id\xffeal"))
+        assert main(["report", "--in", str(tmp_path)]) == 3
+        assert "metrics.jsonl:2: not valid UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line,message", [
         ("[1, 2]", "not a JSON object"),

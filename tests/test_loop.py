@@ -9,6 +9,7 @@ from ideal_al.data import (Dataset, generate_synthetic, load_dataset,
                            synthetic_dataset, write_dataset)
 from ideal_al.errors import ConfigError, DataError, UsageError
 from ideal_al.loop import ActiveLearningLoop, Oracle, Pool, baseline_select, run
+from ideal_al.model import Classifier
 from ideal_al.selector import Scores, select
 
 
@@ -196,6 +197,19 @@ class TestPool:
         pool.ids = np.array([2, 9, 5])
         with pytest.raises(UsageError):
             pool.check()
+
+
+class TestTrainPhase:
+    def test_four_forward_passes_per_ssl_step(self, monkeypatch):
+        # per step: [Xu; variants] once (label guess and VAT reference), the
+        # VAT gradient, the perturbed variants, and the mixed batch once
+        loop = ActiveLearningLoop(fast_config(train_steps_per_cycle=7), small_dataset())
+        rows, trace = [], Classifier._trace
+        monkeypatch.setattr(Classifier, "_trace",
+                            lambda model, X: rows.append(len(X)) or trace(model, X))
+        loop._train_phase(loop._cycle_rngs(0)["train"])
+        # 4 labeled rows, 8 unlabeled rows and their 2 x 8 coarse variants
+        assert rows == [8 + 16, 16, 16, 4 + 8 + 16] * 7
 
 
 class TestDeterminism:

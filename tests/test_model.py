@@ -14,7 +14,7 @@ from ideal_al.model import (
     softmax,
     train_step,
 )
-from oracles import kl
+from oracles import kl, train_step_two_pass
 
 
 def tiny_model(seed=0, sizes=(2, 4, 2)):
@@ -179,7 +179,7 @@ class TestTrainStep:
         before = [w.copy() for w in m.weights]
         X = np.array([[0.1, 0.2]])
         Y = np.array([[1.0, 0.0]])
-        train_step(m, (X, Y), learning_rate=0.0)
+        train_step(m, X, Y, 1, learning_rate=0.0, lambda_u=1.0)
         for w0, w1 in zip(before, m.weights):
             assert np.array_equal(w0, w1)
 
@@ -189,7 +189,7 @@ class TestTrainStep:
         Y = np.array([[0.0, 1.0]])
         losses = []
         for _ in range(200):
-            _, loss = train_step(m, (X, Y), learning_rate=0.1)
+            _, loss = train_step(m, X, Y, 1, learning_rate=0.1, lambda_u=1.0)
             losses.append(loss)
         for start in range(0, 150, 50):
             assert losses[start + 50] < losses[start]
@@ -200,7 +200,7 @@ class TestTrainStep:
         X = rng.uniform(-1, 1, (6, 3))
         Y = np.eye(2)[rng.integers(0, 2, 6)]
         expected = supervised_reference_step(m, X, Y, lr=0.05)
-        train_step(m, (X, Y), learning_rate=0.05, lambda_u=0.0)
+        train_step(m, X, Y, len(X), learning_rate=0.05, lambda_u=0.0)
         for w_got, w_exp in zip(m.weights, expected.weights):
             assert np.allclose(w_got, w_exp, atol=1e-12)
         for b_got, b_exp in zip(m.biases, expected.biases):
@@ -208,7 +208,15 @@ class TestTrainStep:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(UsageError):
-            train_step(tiny_model(1), None, None)
+            train_step(tiny_model(1), np.empty((0, 2)), np.empty((0, 2)), 0, 0.05, 1.0)
+
+    @pytest.mark.parametrize("n_sup", [-1, 4])
+    def test_n_sup_outside_batch_rejected(self, n_sup):
+        m = tiny_model(1)
+        before = [w.copy() for w in m.weights]
+        with pytest.raises(UsageError):
+            train_step(m, np.zeros((3, 2)), np.full((3, 2), 0.5), n_sup, 0.05, 1.0)
+        assert all(np.array_equal(w0, w1) for w0, w1 in zip(before, m.weights))
 
     def test_bit_reproducible(self):
         def one_run():
@@ -219,7 +227,8 @@ class TestTrainStep:
                 Y = np.eye(2)[rng.integers(0, 2, 4)]
                 Xu = rng.uniform(-1, 1, (4, 2))
                 Yu = np.full((4, 2), 0.5)
-                train_step(m, (X, Y), (Xu, Yu), learning_rate=0.05)
+                train_step(m, np.concatenate([X, Xu]), np.concatenate([Y, Yu]), 4,
+                           learning_rate=0.05, lambda_u=1.0)
             return m
 
         a, b = one_run(), one_run()
@@ -231,5 +240,42 @@ class TestTrainStep:
         before = [w.copy() for w in m.weights]
         Xu = np.array([[0.5, 0.5]])
         Yu = np.array([[1.0, 0.0]])
-        train_step(m, None, (Xu, Yu), learning_rate=0.5)
+        train_step(m, Xu, Yu, 0, learning_rate=0.5, lambda_u=1.0)
         assert any(not np.array_equal(w0, w1) for w0, w1 in zip(before, m.weights))
+
+    @staticmethod
+    def _both_steps(sizes, n, n_sup, seed):
+        """The one-pass step and the two-pass reference from the same model on
+        one random mixed batch: (one-pass model, loss, reference model, loss)."""
+        rng = np.random.default_rng(seed)
+        m = tiny_model(seed, sizes=sizes)
+        X = rng.uniform(0, 1, (n, sizes[0]))
+        Y = rng.dirichlet(np.ones(sizes[-1]), size=n)
+        ref = copy.deepcopy(m)
+        _, loss = train_step(m, X, Y, n_sup, learning_rate=0.3, lambda_u=0.7)
+        ref_loss = train_step_two_pass(
+            ref, (X[:n_sup], Y[:n_sup]) if n_sup else None,
+            (X[n_sup:], Y[n_sup:]) if n_sup < n else None, 0.3, 0.7)
+        return m, loss, ref, ref_loss
+
+    # The loop's batch shape: 32 labeled rows, then 32 unlabeled rows and their
+    # 64 variants. Splits are on multiples of 16 rows: BLAS kernels compute
+    # rows in groups (4 rows in OpenBLAS's Haswell dgemm, up to 16 elsewhere)
+    # and a one-row product takes another path, so a split inside a group
+    # can move the last bits of a row's forward pass.
+    @pytest.mark.parametrize("sizes", [(16, 64, 64, 2), (3, 8, 6, 3)])
+    @pytest.mark.parametrize("n_sup", [0, 16, 32, 96, 128])
+    def test_matches_two_pass_reference_bit_for_bit(self, sizes, n_sup):
+        for seed in range(3):
+            m, loss, ref, ref_loss = self._both_steps(sizes, 128, n_sup, seed)
+            assert loss == ref_loss
+            for got, exp in zip(m.weights + m.biases, ref.weights + ref.biases):
+                assert np.array_equal(got, exp)
+
+    @pytest.mark.parametrize("n,n_sup", [(1, 0), (1, 1), (7, 1), (7, 3), (7, 6),
+                                         (12, 5), (40, 39)])
+    def test_matches_two_pass_reference_on_any_split(self, n, n_sup):
+        m, loss, ref, ref_loss = self._both_steps((4, 16, 3), n, n_sup, n)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for got, exp in zip(m.weights + m.biases, ref.weights + ref.biases):
+            assert np.allclose(got, exp, rtol=0, atol=1e-12)

@@ -57,15 +57,10 @@ class TestGuessLabel:
             assert np.allclose(batch[i], weighted_average([P_orig[i], *P_aug[i]], w))
 
 
-def mix(H, Y, alpha, rng, mask=None):
-    """Every mixed row of `build_training_arrays`, in batch order."""
-    H = np.asarray(H, dtype=float)
-    mask = np.ones(len(H), dtype=bool) if mask is None else mask
-    (Xl, Yl), (Xu, Yu), perm, lam = build_training_arrays(H, np.asarray(Y, dtype=float),
-                                                          mask, alpha, rng)
-    Xm, Ym = np.empty((len(H), Xl.shape[1])), np.empty((len(H), Yl.shape[1]))
-    Xm[mask], Xm[~mask], Ym[mask], Ym[~mask] = Xl, Xu, Yl, Yu
-    return Xm, Ym, perm, lam
+def mix(H, Y, alpha, rng):
+    """`build_training_arrays` on array-likes."""
+    return build_training_arrays(np.asarray(H, dtype=float), np.asarray(Y, dtype=float),
+                                 alpha, rng)
 
 
 class TestSampleLambda:
@@ -140,27 +135,30 @@ class TestBuildTrainingBatch:
         return rng.uniform(0, 1, (n, d)), rng.dirichlet(np.ones(c), size=n)
 
     def test_only_labeled_all_ll(self):
+        # a batch of labeled rows only mixes into as many rows, each
+        # dominated by its own row, so all of them feed the supervised loss
         H, Y = self._rows(4)
-        sup, unsup, _, _ = build_training_arrays(H, Y, np.ones(4, dtype=bool), 0.75,
-                                                 np.random.default_rng(0))
-        assert len(sup[0]) == 4 and len(unsup[0]) == 0
+        Xm, Ym, perm, lam = build_training_arrays(H, Y, 0.75, np.random.default_rng(0))
+        assert Xm.shape == H.shape and Ym.shape == Y.shape
+        assert sorted(perm) == [0, 1, 2, 3] and np.all(lam >= 0.5)
 
     def test_counts_deterministic(self):
+        # mixed row i is built from row i (weight >= 1/2), so the first four
+        # (labeled) rows stay first; the same seed gives the same arrays
         H, Y = self._rows(16, seed=1)
-        mask = np.arange(16) < 4
-        sup, unsup, _, _ = build_training_arrays(H, Y, mask, 0.75,
-                                                 np.random.default_rng(5))
-        assert len(sup[0]) == 4 and len(unsup[0]) == 12
-        sup2, unsup2, _, _ = build_training_arrays(H, Y, mask, 0.75,
-                                                   np.random.default_rng(5))
-        for a, b in zip(sup + unsup, sup2 + unsup2):
+        out = build_training_arrays(H, Y, 0.75, np.random.default_rng(5))
+        Xm, _, perm, lam = out
+        assert len(Xm) == 16
+        assert np.array_equal(Xm[:4], lam[:4, None] * H[:4]
+                              + (1 - lam[:4, None]) * H[perm[:4]])
+        for a, b in zip(out, build_training_arrays(H, Y, 0.75, np.random.default_rng(5))):
             assert np.array_equal(a, b)
 
     def test_targets_are_simplexes(self):
         rng = np.random.default_rng(9)
         for trial in range(50):
             H, Y = self._rows(9, seed=trial)
-            _, Ym, _, lam = mix(H, Y, 0.75, rng, mask=np.arange(9) < 3)
+            _, Ym, _, lam = mix(H, Y, 0.75, rng)
             assert np.all(Ym >= -1e-12)
             assert np.allclose(Ym.sum(axis=1), 1.0, rtol=0, atol=1e-9)
             assert np.all((lam >= 0.5) & (lam <= 1.0))
@@ -168,6 +166,5 @@ class TestBuildTrainingBatch:
     def test_identical_inputs_idempotent(self):
         H = np.tile([0.4, 0.6], (6, 1))
         Y = np.tile([0.5, 0.5], (6, 1))
-        Xm, Ym, _, _ = mix(H, Y, 0.75, np.random.default_rng(2),
-                           mask=np.arange(6) < 3)
+        Xm, Ym, _, _ = mix(H, Y, 0.75, np.random.default_rng(2))
         assert np.allclose(Xm, H) and np.allclose(Ym, Y)
