@@ -30,66 +30,80 @@ def coarse_augment_batch(X, k, delta, rng):
     if delta <= 0:
         raise UsageError("delta must be positive")
     n, d = X.shape
-    m = n * k
-    base = np.repeat(X, k, axis=0)
-    choice = rng.integers(len(TRANSFORM_NAMES), size=m)
+    choice = rng.integers(len(TRANSFORM_NAMES), size=n * k)
     if d == 1:
         choice[choice == 0] = 2
-    out = base.copy()
+    out = np.repeat(X, k, axis=0)
+    gap = np.empty(n * k)  # each variant's sup-norm distance from its source
 
-    roll_rows = np.where(choice == 0)[0]
-    if roll_rows.size:
-        shifts = rng.integers(1, d, size=roll_rows.size)
+    def put(rows, src, moved):
+        out[rows] = moved
+        moved -= src
+        gap[rows] = np.abs(moved, out=moved).max(axis=1)
+
+    rows = np.flatnonzero(choice == 0)
+    if rows.size:
+        shifts = rng.integers(1, d, size=rows.size)
         cols = (np.arange(d)[None, :] - shifts[:, None]) % d
-        out[roll_rows] = base[roll_rows][np.arange(roll_rows.size)[:, None], cols]
+        src = out[rows]
+        put(rows, src, src[np.arange(rows.size)[:, None], cols])
 
-    flip_rows = np.where(choice == 1)[0]
-    if flip_rows.size:
-        lo = rng.integers(0, d, size=flip_rows.size)
+    rows = np.flatnonzero(choice == 1)
+    if rows.size:
+        lo = rng.integers(0, d, size=rows.size)
         hi = rng.integers(lo + 1, d + 1)
         cols = np.arange(d)[None, :]
-        mask = (cols >= lo[:, None]) & (cols < hi[:, None])
-        block = base[flip_rows]
-        out[flip_rows] = np.where(mask, -block, block)
+        src = out[rows]
+        put(rows, src, np.where((cols >= lo[:, None]) & (cols < hi[:, None]), -src, src))
 
-    jit_rows = np.where(choice == 2)[0]
-    if jit_rows.size:
-        u = rng.uniform(-1.0, 1.0, size=(jit_rows.size, d))
-        m_abs = np.maximum(np.abs(u).max(axis=1, keepdims=True), 1e-12)
-        out[jit_rows] = base[jit_rows] + u * (2.0 * delta / m_abs)
+    rows = np.flatnonzero(choice == 2)
+    if rows.size:
+        u = rng.uniform(-1.0, 1.0, size=(rows.size, d))
+        u *= 2.0 * delta / np.maximum(np.abs(u).max(axis=1, keepdims=True), 1e-12)
+        src = out[rows]
+        u += src
+        put(rows, src, u)
 
     # enforce the sup-norm > delta contract uniformly
-    close = np.abs(out - base).max(axis=1) <= delta
-    idx = np.where(close)[0]
-    if idx.size:
-        u = rng.uniform(-1.0, 1.0, size=(idx.size, d))
+    rows = np.flatnonzero(gap <= delta)
+    if rows.size:
+        u = rng.uniform(-1.0, 1.0, size=(rows.size, d))
         m_abs = np.maximum(np.abs(u).max(axis=1, keepdims=True), 1e-12)
-        out[idx] = out[idx] + u * (2.0 * delta / m_abs)
+        out[rows] += u * (2.0 * delta / m_abs)
     return out.reshape(n, k, d)
 
 
 def _unit_rows(V):
-    norms = np.linalg.norm(V, axis=-1, keepdims=True)
-    fallback = np.zeros_like(V)
-    fallback[..., 0] = 1.0
-    safe = np.where(norms > 1e-12, norms, 1.0)
-    return np.where(norms > 1e-12, V / safe, fallback)
+    """Scale each row of V to unit L2 norm in place; a row whose norm is not
+    above 1e-12 becomes e_0. Returns the norms from before the scaling."""
+    norms = np.sqrt((V * V).sum(axis=1))
+    bad = ~(norms > 1e-12)
+    if bad.any():
+        V[bad] = 0.0
+        V[bad, 0] = 1.0
+        V /= np.where(bad, 1.0, norms)[:, None]
+    else:
+        V /= norms[:, None]
+    return norms
 
 
-def vat_perturbation_batch(model, X_bar, Y_bar, epsilon, xi, rng):
+def vat_perturbation_batch(model, X_bar, Y_bar, epsilon, xi, normals):
     """Row-wise virtual adversarial perturbations: (R, degenerate_mask).
 
-    One power-iteration step per row: random unit direction d, KL gradient
-    evaluated at X + xi*d, normalized and scaled to epsilon. Rows whose
-    gradient vanishes fall back to epsilon*d.
+    One power-iteration step per row: the random unit direction d of that
+    row of `normals` (standard normal draws shaped like X_bar, scaled in
+    place), the KL gradient evaluated at X + xi*d, normalized and scaled to
+    epsilon. Rows whose gradient vanishes fall back to epsilon*d.
     """
     if epsilon <= 0 or xi <= 0:
         raise UsageError("epsilon and xi must be positive")
     X_bar = np.atleast_2d(np.asarray(X_bar, dtype=float))
     Y_bar = np.atleast_2d(np.asarray(Y_bar, dtype=float))
-    D = _unit_rows(rng.normal(size=X_bar.shape))
+    D = np.atleast_2d(np.asarray(normals, dtype=float))
+    _unit_rows(D)
     G = grad_kl_wrt_input_batch(model, X_bar, Y_bar, xi * D)
-    norms = np.linalg.norm(G, axis=1)
-    degenerate = norms < GRAD_NORM_FLOOR
-    direction = np.where(degenerate[:, None], D, _unit_rows(G))
-    return epsilon * direction, degenerate
+    degenerate = _unit_rows(G) < GRAD_NORM_FLOOR
+    if degenerate.any():
+        G[degenerate] = D[degenerate]
+    G *= epsilon
+    return G, degenerate

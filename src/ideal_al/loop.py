@@ -7,7 +7,9 @@ strategies (random / entropy / coreset) share the training phase and swap
 only the selection rule, so paired comparisons isolate the selector.
 """
 
+import os
 import time
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,17 +18,29 @@ from . import augment, propagator, selector
 from .errors import ConfigError, DataError, UsageError
 from .model import Classifier, kl_rows, train_step
 
-# Pool rows scored per block: bounds the scan's (rows * k_aug, width)
-# intermediates while keeping each block one large GEMM.
-SCAN_ROWS = 1024
+# Pool rows scored per block: bounds each in-flight block's (rows * k_aug,
+# width) intermediates while keeping each block one large GEMM.
+SCAN_ROWS = 512
+# Pool rows per block of the coreset baseline's distances to the labeled set.
+# It runs serially: on worker threads each thread's malloc arena raised peak
+# RSS, and smaller serial blocks slowed the late rounds.
+CORESET_ROWS = 1024
 
 
-def _row_blocks(n):
-    """(start, stop) ranges covering n rows in blocks of SCAN_ROWS. A short
-    tail joins the block before it, so only a pool smaller than SCAN_ROWS
-    gets a smaller block (a one-row matmul takes a different BLAS path)."""
-    bounds = [*range(0, max(n - SCAN_ROWS, 0) + 1, SCAN_ROWS), n]
+def _row_blocks(n, size):
+    """(start, stop) ranges covering n rows in blocks of `size`. A short tail
+    joins the block before it, so only a pool smaller than `size` gets a
+    smaller block (a one-row matmul takes a different BLAS path)."""
+    bounds = [*range(0, max(n - size, 0) + 1, size), n]
     return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _scan_workers():
+    """Worker threads for the pool scan: one per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 class Oracle:
@@ -115,7 +129,7 @@ def baseline_select(strategy, scores, budget, rng, labeled_reps=None):
         if labeled_reps is not None and len(labeled_reps):
             L = np.atleast_2d(np.asarray(labeled_reps, dtype=float))
             min_dist = np.empty(len(scores))
-            for s, e in _row_blocks(len(scores)):
+            for s, e in _row_blocks(len(scores), CORESET_ROWS):
                 d2 = ((reps[s:e, None, :] - L[None, :, :]) ** 2).sum(axis=2)
                 min_dist[s:e] = np.sqrt(d2.min(axis=1))
         else:
@@ -226,7 +240,8 @@ class ActiveLearningLoop:
                 # are the VAT reference
                 P = self.model.predict(np.concatenate([Xu, flat]))
                 R, _ = augment.vat_perturbation_batch(
-                    self.model, flat, P[len(Xu):], cfg.epsilon, cfg.xi, rng)
+                    self.model, flat, P[len(Xu):], cfg.epsilon, cfg.xi,
+                    rng.normal(size=flat.shape))
                 tilde = flat + R
                 P_tilde = self.model.predict(tilde).reshape(len(Xu), cfg.k_aug, -1)
                 guessed = propagator.guess_labels_batch(P[:len(Xu)], P_tilde, w)
@@ -243,9 +258,10 @@ class ActiveLearningLoop:
 
         The coarse variants are drawn once for the whole pool (their draws
         are grouped by transform across rows) and the percentile fusion needs
-        the whole pool; everything in between runs in `_row_blocks`. The VAT
-        normals are drawn block after block in row order, the same stream as
-        one whole-pool draw.
+        the whole pool; everything in between runs in `_row_blocks`, one
+        block per worker thread at a time. This thread draws each block's VAT
+        normals in row order before it hands the block out, the same stream
+        as one whole-pool draw, so no score depends on the worker count.
         """
         cfg, model = self.config, self.model
         unlabeled = self.pool.labels < 0
@@ -254,19 +270,35 @@ class ActiveLearningLoop:
         n, k = len(ids), cfg.k_aug
         A = augment.coarse_augment_batch(X, k, cfg.delta, rng)
         in_coa, in_fin, ent = np.zeros(n), np.zeros(n), np.empty(n)
-        for s, e in _row_blocks(n):
+
+        def score_block(s, e, normals):
             P_orig = model.predict(X[s:e])
             flat = A[s:e].reshape(-1, A.shape[-1])
             P_bar_flat = model.predict(flat)
             if not cfg.disable_coarse:
                 in_coa[s:e] = selector.coarse_inconsistency(np.concatenate(
                     [P_orig[:, None, :], P_bar_flat.reshape(e - s, k, -1)], axis=1))
-            if not cfg.disable_fine:
+            if normals is not None:
                 R, _ = augment.vat_perturbation_batch(
-                    model, flat, P_bar_flat, cfg.epsilon, cfg.xi, rng)
+                    model, flat, P_bar_flat, cfg.epsilon, cfg.xi, normals)
                 P_hat_flat = model.predict(flat + R)
                 in_fin[s:e] = kl_rows(P_bar_flat, P_hat_flat).reshape(e - s, k).sum(axis=1)
             ent[s:e] = selector.entropy_rows(P_orig)
+
+        blocks = _row_blocks(n, SCAN_ROWS)
+        workers = min(_scan_workers(), len(blocks))
+        with ThreadPoolExecutor(max_workers=workers) as executor:
+            running = set()
+            for s, e in blocks:
+                if len(running) == workers:
+                    done, running = wait(running, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        future.result()  # a failed block stops the scan here
+                normals = None if cfg.disable_fine else rng.normal(
+                    size=((e - s) * k, A.shape[-1]))
+                running.add(executor.submit(score_block, s, e, normals))
+            for future in running:
+                future.result()
 
         gamma = cfg.gamma
         if cfg.disable_coarse and not cfg.disable_fine:

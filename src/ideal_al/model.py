@@ -14,9 +14,10 @@ PROB_FLOOR = 1e-12
 def softmax(z):
     """Row-wise stable softmax."""
     z = np.asarray(z, dtype=float)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def kl_rows(P, Q):
@@ -86,7 +87,8 @@ class Classifier:
         acts = [a]
         preacts = []
         for i in range(self.n_layers):
-            z = acts[-1] @ self.weights[i] + self.biases[i]
+            z = acts[-1] @ self.weights[i]
+            z += self.biases[i]
             preacts.append(z)
             acts.append(softmax(z) if i == self.n_layers - 1 else np.maximum(z, 0.0))
         return acts, preacts

@@ -34,7 +34,7 @@ def score_pool_whole(loop, rng):
         in_fin = np.zeros(len(ids))
     else:
         R, _ = augment.vat_perturbation_batch(
-            model, flat, P_bar_flat, cfg.epsilon, cfg.xi, rng)
+            model, flat, P_bar_flat, cfg.epsilon, cfg.xi, rng.normal(size=flat.shape))
         P_hat_flat = model.predict(flat + R)
         in_fin = kl_rows(P_bar_flat, P_hat_flat).reshape(len(ids), cfg.k_aug).sum(axis=1)
 
@@ -47,6 +47,50 @@ def score_pool_whole(loop, rng):
         selector.percentiles(in_coa), selector.percentiles(in_fin), gamma)
     return selector.Scores(ids=ids, in_total=in_total,
                            entropy=selector.entropy_rows(P_orig), reps=X)
+
+
+def coarse_augment_batch_reference(X, k, delta, rng):
+    """`augment.coarse_augment_batch` with every transform applied to a copy
+    of the repeated rows and one whole-array sup-norm check at the end: the
+    same draws in the same order."""
+    X = np.asarray(X, dtype=float)
+    n, d = X.shape
+    m = n * k
+    base = np.repeat(X, k, axis=0)
+    choice = rng.integers(len(augment.TRANSFORM_NAMES), size=m)
+    if d == 1:
+        choice[choice == 0] = 2
+    out = base.copy()
+
+    roll_rows = np.where(choice == 0)[0]
+    if roll_rows.size:
+        shifts = rng.integers(1, d, size=roll_rows.size)
+        cols = (np.arange(d)[None, :] - shifts[:, None]) % d
+        out[roll_rows] = base[roll_rows][np.arange(roll_rows.size)[:, None], cols]
+
+    flip_rows = np.where(choice == 1)[0]
+    if flip_rows.size:
+        lo = rng.integers(0, d, size=flip_rows.size)
+        hi = rng.integers(lo + 1, d + 1)
+        cols = np.arange(d)[None, :]
+        mask = (cols >= lo[:, None]) & (cols < hi[:, None])
+        block = base[flip_rows]
+        out[flip_rows] = np.where(mask, -block, block)
+
+    jit_rows = np.where(choice == 2)[0]
+    if jit_rows.size:
+        u = rng.uniform(-1.0, 1.0, size=(jit_rows.size, d))
+        m_abs = np.maximum(np.abs(u).max(axis=1, keepdims=True), 1e-12)
+        out[jit_rows] = base[jit_rows] + u * (2.0 * delta / m_abs)
+
+    # enforce the sup-norm > delta contract uniformly
+    close = np.abs(out - base).max(axis=1) <= delta
+    idx = np.where(close)[0]
+    if idx.size:
+        u = rng.uniform(-1.0, 1.0, size=(idx.size, d))
+        m_abs = np.maximum(np.abs(u).max(axis=1, keepdims=True), 1e-12)
+        out[idx] = out[idx] + u * (2.0 * delta / m_abs)
+    return out.reshape(n, k, d)
 
 
 def coreset_select_whole(scores, budget, labeled_reps):

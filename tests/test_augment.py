@@ -4,7 +4,7 @@ import pytest
 from ideal_al.augment import coarse_augment_batch, vat_perturbation_batch
 from ideal_al.errors import UsageError
 from ideal_al.model import Classifier
-from oracles import kl
+from oracles import coarse_augment_batch_reference, kl
 from util import relu_kink_free
 
 
@@ -67,10 +67,33 @@ class TestCoarseAugmentBatch:
         B = coarse_augment_batch(X, 2, 0.05, np.random.default_rng(5))
         assert np.array_equal(A, B)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
+    def test_matches_reference_and_its_stream(self, d):
+        # every (k, delta) pair over 300 seeds; zero rows leave roll and
+        # block_flip within delta, so the fallback jitter runs
+        for seed in range(300):
+            k, delta = (1, 2, 3)[seed % 3], (0.05, 0.5, 2.0)[seed // 3 % 3]
+            data = np.random.default_rng([seed, d])
+            X = data.uniform(-1, 1, (int(data.integers(1, 12)), d))
+            X[data.random(len(X)) < 0.3] = 0.0
+            if seed % 5 == 0:
+                X[:] = 0.0
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = coarse_augment_batch(X, k, delta, rng)
+            want = coarse_augment_batch_reference(X, k, delta, ref_rng)
+            assert np.array_equal(got, want), (d, seed)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, (d, seed)
+
+
+def normals(X, seed):
+    """Standard normal draws shaped like X, for the VAT directions."""
+    return np.random.default_rng(seed).normal(size=np.shape(X))
+
 
 def vat_one(m, x, y, eps, xi, rng):
     """`vat_perturbation_batch` on a single row: (vector, degenerate)."""
-    R, degenerate = vat_perturbation_batch(m, x[None], y[None], eps, xi, rng)
+    R, degenerate = vat_perturbation_batch(m, x[None], y[None], eps, xi,
+                                           rng.normal(size=(1, len(x))))
     return R[0], bool(degenerate[0])
 
 
@@ -83,7 +106,7 @@ class TestVatPerturbation:
         for eps in (1e-2, 0.5, 10.0):
             # a degenerate row falls back to its random direction, also of norm eps
             R, degenerate = vat_perturbation_batch(m, X, Y, epsilon=eps, xi=0.1,
-                                                   rng=np.random.default_rng(0))
+                                                   normals=normals(X, 0))
             assert not degenerate[0]
             assert np.allclose(np.linalg.norm(R, axis=1), eps, rtol=0, atol=1e-9)
 
@@ -91,7 +114,7 @@ class TestVatPerturbation:
         m = zero_model()
         X = np.array([[0.3, 0.6], [0.1, 0.2]])
         R, degenerate = vat_perturbation_batch(m, X, m.predict(X), epsilon=1.0,
-                                               xi=0.1, rng=np.random.default_rng(0))
+                                               xi=0.1, normals=normals(X, 0))
         assert degenerate.all()
         assert np.allclose(np.linalg.norm(R, axis=1), 1.0, rtol=0, atol=1e-9)
 
@@ -99,8 +122,8 @@ class TestVatPerturbation:
         m = tiny_model(2)
         X = np.array([[0.1, 0.9], [0.4, 0.3]])
         Y = m.predict(X)
-        a, _ = vat_perturbation_batch(m, X, Y, 0.5, 0.1, np.random.default_rng(7))
-        b, _ = vat_perturbation_batch(m, X, Y, 0.5, 0.1, np.random.default_rng(7))
+        a, _ = vat_perturbation_batch(m, X, Y, 0.5, 0.1, normals(X, 7))
+        b, _ = vat_perturbation_batch(m, X, Y, 0.5, 0.1, normals(X, 7))
         assert np.array_equal(a, b)
 
     def test_sphere_grid_dominance(self):
@@ -133,15 +156,15 @@ class TestVatPerturbation:
         m = tiny_model(1)
         X = np.zeros((1, 2))
         with pytest.raises(UsageError):
-            vat_perturbation_batch(m, X, m.predict(X), 0.0, 0.1,
-                                   np.random.default_rng(0))
+            vat_perturbation_batch(m, X, m.predict(X), 0.0, 0.1, normals(X, 0))
 
 
 def fine_variants(m, x, k, epsilon, rng):
     """The loop's fine variants of one sample: its coarse variants, each
     moved by its own VAT perturbation. Returns (coarse, fine), both (k, d)."""
     bar = coarse_augment_batch(x[None], k, 0.05, rng)[0]
-    R, _ = vat_perturbation_batch(m, bar, m.predict(bar), epsilon, 0.1, rng)
+    R, _ = vat_perturbation_batch(m, bar, m.predict(bar), epsilon, 0.1,
+                                  rng.normal(size=bar.shape))
     return bar, bar + R
 
 

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import ideal_al
 from ideal_al.cli import main
 from ideal_al.config import LoopConfig, save_config
 
@@ -267,3 +270,29 @@ class TestAblateAndReport:
         (run_dir / "metrics.jsonl").write_text(line + "\n")
         assert main(["report", "--in", str(tmp_path)]) == 3
         assert f"metrics.jsonl:1: {message}" in capsys.readouterr().err
+
+
+class TestBlasThreads:
+    """Importing the package pins BLAS to one thread before numpy loads, so the
+    scan's workers do not share the cores with BLAS threads."""
+
+    def blas_env_after_import(self, set_vars, first=""):
+        env = {k: v for k, v in os.environ.items() if k not in ideal_al.BLAS_THREAD_VARS}
+        env.update(set_vars, PYTHONPATH=os.path.dirname(os.path.dirname(ideal_al.__file__)))
+        code = (first + "import json, os, ideal_al.cli; print(json.dumps("
+                "{v: os.environ.get(v) for v in ideal_al.BLAS_THREAD_VARS}))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        return json.loads(out.stdout)
+
+    def test_pinned_when_unset(self):
+        assert set(self.blas_env_after_import({}).values()) == {"1"}
+
+    def test_callers_thread_count_is_kept(self):
+        got = self.blas_env_after_import({"OMP_NUM_THREADS": "3"})
+        assert got == {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3",
+                       "MKL_NUM_THREADS": None}
+
+    def test_left_alone_when_numpy_is_already_loaded(self):
+        got = self.blas_env_after_import({}, first="import numpy; ")
+        assert set(got.values()) == {None}
