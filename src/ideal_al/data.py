@@ -59,7 +59,10 @@ class Dataset:
 
 
 def _scaled(raw, lo, span):
-    return np.divide(raw - lo, span, out=np.zeros_like(raw), where=span > 0)
+    out = raw - lo
+    np.divide(out, span, out=out, where=span > 0)
+    out[:, span <= 0] = 0.0
+    return out
 
 
 def load_dataset(path):

@@ -78,13 +78,16 @@ def entropy_rows(P):
 
 def density_factors(reps):
     """Mean pairwise cosine similarity of each row to the whole set."""
-    norms = np.linalg.norm(reps, axis=1)
+    unit = reps * reps  # the squares, then the unit rows in the same buffer
+    norms = np.sqrt(np.add.reduce(unit, axis=1))  # np.linalg.norm, bit for bit
     good = norms > NORM_FLOOR
-    if not good.all():
-        warnings.warn(
-            f"dropping {np.count_nonzero(~good)} zero-norm representation(s) "
-            "from the density sum"
-        )
+    if good.all():
+        np.divide(reps, norms[:, None], out=unit)
+        return unit @ (unit.sum(axis=0) / max(len(unit), 1))
+    warnings.warn(
+        f"dropping {np.count_nonzero(~good)} zero-norm representation(s) "
+        "from the density sum"
+    )
     unit = np.zeros_like(reps)
     unit[good] = reps[good] / norms[good, None]
     m_eff = max(int(good.sum()), 1)

@@ -49,6 +49,34 @@ def score_pool_whole(loop, rng):
                            entropy=selector.entropy_rows(P_orig), reps=X)
 
 
+def entropy_records_whole(loop):
+    """`ActiveLearningLoop._entropy_records` as one predict over the pool."""
+    unlabeled = loop.pool.labels < 0
+    X = loop.pool.features[unlabeled]
+    return selector.Scores(ids=loop.pool.ids[unlabeled], in_total=np.zeros(len(X)),
+                           entropy=selector.entropy_rows(loop.model.predict(X)), reps=X)
+
+
+def accuracy_whole(loop):
+    """`ActiveLearningLoop.accuracy` as one predict over the test set."""
+    ds = loop.test_data
+    return float((loop.model.predict(ds.features).argmax(axis=1) == ds.labels).mean())
+
+
+def density_factors_reference(reps):
+    """`selector.density_factors` with the unit rows built in a zeroed array
+    and summed over a boolean-indexed copy, for every input."""
+    norms = np.linalg.norm(reps, axis=1)
+    good = norms > selector.NORM_FLOOR
+    unit = np.zeros_like(reps)
+    unit[good] = reps[good] / norms[good, None]
+    m_eff = max(int(good.sum()), 1)
+    mean_unit = unit[good].sum(axis=0) / m_eff
+    factors = unit @ mean_unit
+    factors[~good] = 0.0
+    return factors
+
+
 def coarse_augment_batch_reference(X, k, delta, rng):
     """`augment.coarse_augment_batch` with every transform applied to a copy
     of the repeated rows and one whole-array sup-norm check at the end: the
@@ -93,13 +121,19 @@ def coarse_augment_batch_reference(X, k, delta, rng):
     return out.reshape(n, k, d)
 
 
+def labeled_distances_whole(reps, labeled_reps):
+    """Each row's distance to its nearest labeled row, from the whole (n, L, d)
+    difference array."""
+    L = np.atleast_2d(np.asarray(labeled_reps, dtype=float))
+    d2 = ((reps[:, None, :] - L[None, :, :]) ** 2).sum(axis=2)
+    return np.sqrt(d2.min(axis=1))
+
+
 def coreset_select_whole(scores, budget, labeled_reps):
     """`baseline_select("coreset", ...)` with the labeled-set distances taken
     from the whole (n, L, d) difference array."""
     reps = scores.reps
-    L = np.atleast_2d(np.asarray(labeled_reps, dtype=float))
-    d2 = ((reps[:, None, :] - L[None, :, :]) ** 2).sum(axis=2)
-    min_dist = np.sqrt(d2.min(axis=1))
+    min_dist = labeled_distances_whole(reps, labeled_reps)
     chosen = []
     for _ in range(budget):
         i = int(np.argmax(min_dist))

@@ -312,12 +312,16 @@ def test_criterion_07_directional_learning_benefit(benchmark_results):
                         r["random"].mean())
     gap = ideal - rand
     _, p = stats.ttest_rel(r["ideal"], r["random"], alternative="greater")
+    # reported only: on this benchmark ideal and entropy are a paired tie
+    _, p_ent = stats.ttest_rel(r["ideal"], r["entropy"], alternative="greater")
+    wins_ent = int(np.sum(r["ideal"] > r["entropy"]))
     elapsed = sum(r["elapsed"][k] for k in ("random", "entropy", "ideal"))
     ok = (ideal >= ent >= rand and gap >= 0.02 and p < 0.05
           and elapsed < 600.0)
     report(7, "ideal >= entropy >= random with >= 2pt gap", ok,
            f"ideal {ideal:.4f}, entropy {ent:.4f}, random {rand:.4f}, "
-           f"gap {100 * gap:.2f}pt, p {p:.4f}, {elapsed:.0f}s")
+           f"gap {100 * gap:.2f}pt, p {p:.4f}, {elapsed:.0f}s; not asserted: "
+           f"ideal > entropy p {p_ent:.4f} ({wins_ent}/{len(r['ideal'])})")
 
 
 @pytest.mark.slow

@@ -58,10 +58,13 @@ class TestBaselineSelect:
                                np.random.default_rng(0)) == [2]
 
     def test_coreset_farthest_point(self):
+        # distances to the one labeled row, at 0.0
         records = self._records([0.1] * 3, reps=[[0.0], [1.0], [10.0]])
+        min_dist = np.array([0.0, 1.0, 10.0])
         got = baseline_select("coreset", records, 1, np.random.default_rng(0),
-                              labeled_reps=np.array([[0.0]]))
+                              min_dist=min_dist)
         assert got == [2]
+        assert min_dist.tolist() == [0.0, 1.0, 0.0]  # the pick folded in
 
     def test_random_reproducible(self):
         records = self._records([0.5] * 10)

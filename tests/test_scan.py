@@ -1,4 +1,5 @@
-"""The blocked, threaded pool scan against its whole-pool oracle."""
+"""The blocked, threaded pool-wide passes and coreset's carried distances
+against their whole-pool oracles."""
 
 import sys
 import threading
@@ -13,7 +14,13 @@ from ideal_al.data import Dataset, synthetic_dataset
 from ideal_al.loop import ActiveLearningLoop, baseline_select
 from ideal_al.model import Classifier
 from ideal_al.selector import Scores, select
-from oracles import coreset_select_whole, score_pool_whole
+from oracles import (
+    accuracy_whole,
+    coreset_select_whole,
+    entropy_records_whole,
+    labeled_distances_whole,
+    score_pool_whole,
+)
 
 VARIANTS = {
     "ideal": {},
@@ -88,15 +95,89 @@ def test_row_blocks_cover_the_pool_without_short_blocks(scan_rows):
         assert all(scan_rows <= k < 2 * scan_rows for k in sizes) or sizes == [n]
 
 
-def test_blocked_coreset_matches_whole_pool(monkeypatch):
-    monkeypatch.setattr(loop_mod, "CORESET_ROWS", 7)
+def test_blocked_coreset_matches_whole_pool():
+    # the labeled set folded in one row at a time, as the loop carries it,
+    # against the whole (n, L, d) difference array
     rng = np.random.default_rng(5)
     n = 45
     scores = Scores(ids=np.arange(0, 3 * n, 3), in_total=np.zeros(n),
                     entropy=np.zeros(n), reps=rng.normal(size=(n, 4)))
     labeled = rng.normal(size=(6, 4))
-    got = baseline_select("coreset", scores, 10, rng, labeled_reps=labeled)
+    min_dist, buf, dist = np.full(n, np.inf), np.empty((n, 4)), np.empty(n)
+    for row in labeled:
+        loop_mod._fold(scores.reps, row, buf, dist, min_dist)
+    assert np.array_equal(min_dist, labeled_distances_whole(scores.reps, labeled))
+    got = baseline_select("coreset", scores, 10, rng, min_dist=min_dist)
     assert got == coreset_select_whole(scores, 10, labeled)
+
+
+def coreset_loop(d, cycles=5):
+    # rows on a 4-level grid, the last third repeating the first: duplicate
+    # rows and tied distances, down to every unlabeled row at distance 0
+    rng = np.random.default_rng(d)
+    X = rng.integers(0, 4, size=(60, d)).astype(float)
+    X[40:] = X[:20]
+    ds = Dataset.from_raw(np.arange(0, 120, 2), X, np.arange(60) % 2, 2)
+    cfg = LoopConfig(strategy="coreset", budget=5, cycles=cycles, seed=d, k_aug=2,
+                     train_steps_per_cycle=2, batch_size=8, hidden_sizes=(8,))
+    return ActiveLearningLoop(cfg, ds)
+
+
+def check_coreset_cycle(lp, t):
+    """One cycle's picks against the greedy recomputed from the pool's labeled
+    rows, then the carried distances against the brute-force ones."""
+    pool = lp.pool
+    unlabeled = pool.labels < 0
+    n = int(unlabeled.sum())
+    scores = Scores(ids=pool.ids[unlabeled], in_total=np.zeros(n), entropy=np.zeros(n),
+                    reps=pool.features[unlabeled])
+    want = coreset_select_whole(scores, lp.config.budget, pool.features[~unlabeled])
+    assert lp.run_cycle(t).selected_ids == want, t
+    brute = labeled_distances_whole(pool.features, pool.features[pool.labels >= 0])
+    assert np.array_equal(lp._min_dist, brute), t
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
+def test_carried_coreset_distances_match_brute_force(d):
+    lp = coreset_loop(d)
+    for t in range(lp.config.cycles):
+        check_coreset_cycle(lp, t)
+
+
+@pytest.mark.parametrize("d", [2, 16])
+def test_rows_labeled_outside_coreset_are_folded_in(d):
+    lp = coreset_loop(d)
+    for t in range(lp.config.cycles):
+        check_coreset_cycle(lp, t)
+        # a caller labels rows the greedy never picked
+        lp.pool.annotate(lp.pool.unlabeled[[0, 3 + t]], lp.oracle)
+
+
+def test_entropy_and_accuracy_small_blocks_match_whole_pool_bit_for_bit(monkeypatch):
+    # more CPUs than this machine may have: these passes use the calling
+    # thread whatever the count
+    monkeypatch.setattr(loop_mod, "SCAN_ROWS", 7)
+    monkeypatch.setattr(loop_mod, "_scan_workers", lambda: 3)
+    lp = trained_loop()
+    assert len(loop_mod._row_blocks(lp.pool.n_unlabeled, 7)) > 3
+    assert len(loop_mod._row_blocks(len(lp.test_data), 7)) > 3
+    blocked, accuracy = lp._entropy_records(), lp.accuracy()
+    whole = entropy_records_whole(lp)
+    for field in ("ids", "in_total", "entropy", "reps"):
+        assert np.array_equal(getattr(blocked, field), getattr(whole, field)), field
+    assert accuracy == accuracy_whole(lp)
+
+
+def test_entropy_and_accuracy_default_blocks_match_whole_pool():
+    # 20,000 unlabeled rows, and the 20,004-row pool as the test set: the
+    # whole-pool GEMMs may take another kernel, so the last bits may differ
+    lp = trained_loop(per_class=10_002)
+    assert lp.pool.n_unlabeled == 20_000
+    blocked, whole = lp._entropy_records(), entropy_records_whole(lp)
+    assert np.array_equal(blocked.ids, whole.ids)
+    assert np.array_equal(blocked.reps, whole.reps)
+    assert np.allclose(blocked.entropy, whole.entropy, rtol=1e-12, atol=0.0)
+    assert lp.accuracy() == accuracy_whole(lp)
 
 
 def test_scan_fails_with_the_blocks_exception_and_joins_its_workers(monkeypatch):
@@ -114,9 +195,13 @@ def test_scan_fails_with_the_blocks_exception_and_joins_its_workers(monkeypatch)
 
     monkeypatch.setattr(Classifier, "predict", failing_predict)
     threads = threading.active_count()
-    with pytest.raises(FloatingPointError, match="third predict"):
-        lp._score_pool(np.random.default_rng(9))
-    assert threading.active_count() == threads
+    for scan in (lambda: lp._score_pool(np.random.default_rng(9)),
+                 lp._entropy_records, lp.accuracy):
+        calls.clear()
+        with pytest.raises(FloatingPointError, match="third predict"):
+            scan()
+        assert len(calls) >= 3
+        assert threading.active_count() == threads
 
 
 def test_scan_peak_memory_at_40k_rows(monkeypatch):

@@ -18,7 +18,7 @@ from ideal_al.selector import (
     top_k,
     total_inconsistency,
 )
-from oracles import entropy, kl, percentile
+from oracles import density_factors_reference, entropy, kl, percentile
 
 
 class TestCoarseInconsistency:
@@ -198,6 +198,18 @@ class TestDensityAwareEntropy:
         with pytest.warns(UserWarning):
             factors = density_factors(np.array([target, np.zeros(2), target]))
         assert factors.tolist() == pytest.approx([1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("m,d", [(1, 1), (2, 3), (7, 16), (300, 16), (1000, 5)])
+    def test_matches_reference_bit_for_bit(self, m, d):
+        rng = np.random.default_rng(m * 31 + d)
+        reps = rng.uniform(-1, 1, (m, d)) * rng.choice([1e-6, 1.0, 1e6], size=(m, 1))
+        assert np.array_equal(density_factors(reps), density_factors_reference(reps))
+        if m > 1:
+            reps[::3] = 0.0
+            reps[1] = 1e-14  # below NORM_FLOOR without being zero
+            with pytest.warns(UserWarning):
+                got = density_factors(reps)
+            assert np.array_equal(got, density_factors_reference(reps))
 
 
 def brute_force_two_stage(scores, m_cand, budget, use_density=True):
