@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import augment, propagator, selector
-from .errors import ConfigError, DataError, UsageError
+from .errors import ConfigError, DataError, NumericError, UsageError
 from .model import Classifier, kl_rows, train_step
 
 # Rows per block of a pool-wide pass: bounds each in-flight block's (rows *
@@ -79,15 +79,58 @@ def _scan(n, block, workers=1, prepare=lambda s, e: ()):
             future.result()
 
 
-def _fold(reps, row, buf, dist, min_dist):
-    """min_dist = min(min_dist, ||reps - row||) row-wise, through the
-    caller's (n, d) `buf` and (n,) `dist`. The same arithmetic as
-    `np.linalg.norm(reps - row, axis=1)`, bit for bit."""
-    np.subtract(reps, row, out=buf)
-    np.square(buf, out=buf)
-    np.add.reduce(buf, axis=1, out=dist)
-    np.sqrt(dist, out=dist)
-    np.minimum(min_dist, dist, out=min_dist)
+def _pairwise_sum(t):
+    """Sum the rows of the 2-D `t` into `t[0]`, in place, and return it.
+
+    Each column is summed in the order numpy's pairwise summation adds that
+    many contiguous values: in turn below 8, with 8 accumulators up to 128,
+    and above that by halving at a multiple of 8. So a column's sum is
+    `np.add.reduce` of it, bit for bit, while each step is one ufunc call
+    over whole rows rather than one call per column.
+    """
+    n = len(t)
+    if n < 8:
+        for i in range(1, n):
+            t[0] += t[i]
+    elif n <= 128:
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            t[:8] += t[i:i + 8]
+        t[0:8:2] += t[1:8:2]  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        t[0:8:4] += t[2:8:4]
+        t[0] += t[4]
+        for i in range(tail, n):
+            t[0] += t[i]
+    else:
+        half = n // 2 - n // 2 % 8
+        _pairwise_sum(t[:half])
+        t[0] += _pairwise_sum(t[half:])
+    return t[0]
+
+
+# Columns per block of coreset's fold: its (d, FOLD_COLS) scratch stays small
+# while each ufunc call still runs over thousands of values.
+FOLD_COLS = 4096
+
+
+def _fold(reps_t, row, min_dist, buf):
+    """min_dist = min(min_dist, distance from each column of the
+    feature-major (d, n) `reps_t` to the (d,) `row`), in place, through the
+    caller's (d, FOLD_COLS) scratch `buf`.
+
+    It walks `reps_t` in blocks of FOLD_COLS columns and sums each column's
+    squares in numpy's pairwise order, so every distance equals
+    `np.linalg.norm(reps - row, axis=1)` on the row-major rows bit for bit.
+    """
+    col = row[:, None]
+    for s in range(0, reps_t.shape[1], FOLD_COLS):
+        e = min(s + FOLD_COLS, reps_t.shape[1])
+        t = buf[:, :e - s]
+        np.subtract(reps_t[:, s:e], col, out=t)
+        np.square(t, out=t)
+        dist = _pairwise_sum(t)
+        np.sqrt(dist, out=dist)
+        np.minimum(min_dist[s:e], dist, out=min_dist[s:e])
 
 
 class Oracle:
@@ -164,7 +207,8 @@ def baseline_select(strategy, scores, budget, rng, min_dist=None):
     entropy; coreset: greedy k-center on the feature rows. For coreset,
     `min_dist` holds each row's distance to its nearest labeled row (None:
     nothing labeled yet); the greedy folds every pick into it in place, so it
-    returns holding the distances to the labeled rows and the picks.
+    returns holding the distances to the labeled rows and the picks. The
+    greedy walks a feature-major copy of the rows (see `_fold`).
     """
     if budget > len(scores):
         raise UsageError("budget exceeds pool size")
@@ -174,15 +218,15 @@ def baseline_select(strategy, scores, budget, rng, min_dist=None):
     if strategy == "entropy":
         return scores.ids[selector.top_k(scores.entropy, scores.ids, budget)].tolist()
     if strategy == "coreset":
-        reps = scores.reps
+        reps_t = np.ascontiguousarray(scores.reps.T)
         if min_dist is None:
             min_dist = np.full(len(scores), np.inf)
-        buf, dist = np.empty_like(reps), np.empty(len(scores))
+        buf = np.empty((len(reps_t), FOLD_COLS))
         chosen = []
         for _ in range(budget):
             i = int(np.argmax(min_dist))  # argmax takes the lowest index on ties
             chosen.append(i)
-            _fold(reps, reps[i], buf, dist, min_dist)
+            _fold(reps_t, reps_t[:, i], min_dist, buf)
             min_dist[i] = -np.inf  # never picked twice, even among duplicates
         min_dist[chosen] = 0.0
         return scores.ids[chosen].tolist()
@@ -225,6 +269,8 @@ class ActiveLearningLoop:
     def _initial_pool(self):
         ds = self.dataset
         order = np.argsort(ds.ids, kind="stable")
+        if np.array_equal(order, np.arange(len(ds))):
+            order = slice(None)  # rows already in id order are shared: none is written
         pool = Pool(ids=ds.ids[order], features=ds.features[order],
                     labels=np.full(len(ds), -1))
         classes = ds.labels[order]
@@ -296,6 +342,12 @@ class ActiveLearningLoop:
                 Y = np.concatenate([Y, guessed, np.repeat(guessed, cfg.k_aug, axis=0)])
             Xm, Ym, _, _ = propagator.build_training_arrays(X, Y, cfg.alpha, rng)
             train_step(self.model, Xm, Ym, len(bl), cfg.learning_rate, cfg.lambda_u)
+        # a step checks its loss, which comes before its update: an update
+        # that overflows shows only in the parameters, checked once a phase
+        for i, (W, b) in enumerate(zip(self.model.weights, self.model.biases)):
+            if not (np.isfinite(W).all() and np.isfinite(b).all()):
+                raise NumericError(f"layer {i} parameters are non-finite after "
+                                   f"training (learning_rate {cfg.learning_rate})")
 
     # -- scoring + selection ------------------------------------------
 
@@ -349,8 +401,9 @@ class ActiveLearningLoop:
         return selector.Scores(ids=ids, in_total=in_total, entropy=ent, reps=X)
 
     def _entropy_records(self):
-        """Cheap scores (entropy + feature rows, zero inconsistency) for the
-        baselines and the ranker-free ablation."""
+        """Entropy scores (one blocked forward pass, zero inconsistency) and
+        feature rows for the entropy baseline and the ranker-free ablation,
+        the two rules without the ranker that read a prediction."""
         unlabeled = self.pool.labels < 0
         X = self.pool.features[unlabeled]
         ent = np.empty(len(X))
@@ -372,9 +425,10 @@ class ActiveLearningLoop:
             self._folded = np.zeros(len(pool.ids), dtype=bool)
         new = np.flatnonzero((pool.labels >= 0) & ~self._folded)
         if len(new):
-            buf, dist = np.empty_like(pool.features), np.empty(len(pool.ids))
+            features_t = np.ascontiguousarray(pool.features.T)
+            buf = np.empty((len(features_t), FOLD_COLS))
             for r in new:
-                _fold(pool.features, pool.features[r], buf, dist, self._min_dist)
+                _fold(features_t, features_t[:, r], self._min_dist, buf)
             self._folded[new] = True
         return self._min_dist
 
@@ -388,17 +442,24 @@ class ActiveLearningLoop:
                 return scores.ids[top].tolist(), scores
             m = cfg.resolved_m_cand(len(scores))
             return selector.select(scores, m, cfg.budget, use_density=use_density), scores
-        scores = self._entropy_records()
         if cfg.strategy == "ideal" and not cfg.disable_reranker:
             # no ranker: every unlabeled sample is a re-ranking candidate
+            scores = self._entropy_records()
             return selector.select(scores, len(scores), cfg.budget,
                                    use_density=use_density), scores
+        if cfg.strategy == "entropy":
+            scores = self._entropy_records()
+            return baseline_select("entropy", scores, cfg.budget, rngs["select"]), scores
         # with both stages off, ideal collapses to the random baseline on the
-        # same stream
+        # same stream. Random and coreset read only ids and feature rows, so
+        # no forward pass is made for them.
         strategy = "random" if cfg.strategy == "ideal" else cfg.strategy
+        unlabeled = self.pool.labels < 0
+        zeros = np.zeros(np.count_nonzero(unlabeled))
+        scores = selector.Scores(ids=self.pool.ids[unlabeled], in_total=zeros,
+                                 entropy=zeros, reps=self.pool.features[unlabeled])
         if strategy != "coreset":
             return baseline_select(strategy, scores, cfg.budget, rngs["select"]), scores
-        unlabeled = self.pool.labels < 0
         min_dist = self._labeled_distances()[unlabeled]
         selected = baseline_select(strategy, scores, cfg.budget, rngs["select"],
                                    min_dist=min_dist)

@@ -24,7 +24,7 @@ class Scores:
 
     ids: np.ndarray       # (n,) int
     in_total: np.ndarray  # (n,) fused inconsistency; zeros when unranked
-    entropy: np.ndarray   # (n,) prediction entropy
+    entropy: np.ndarray   # (n,) prediction entropy; zeros when nothing predicted
     reps: np.ndarray      # (n, d) normalized feature rows
 
     def __post_init__(self):

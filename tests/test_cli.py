@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ideal_al
@@ -187,6 +188,24 @@ class TestRun:
         cfg = make_config(tmp_path, pool, budget=1, init_per_class=4)
         assert main(["run", "--config", str(cfg)]) == 2
         assert "init_per_class" in capsys.readouterr().err
+
+    def test_non_finite_weights_after_training_exit_4(self, tmp_path, capsys):
+        # every loss is finite, but the phase's last update overflows
+        data = tmp_path / "train.csv"
+        assert main(["synth", "--classes", "2", "--clusters", "2", "--per-class", "30",
+                     "--noise", "0.08", "--seed", "21", "--dim", "3",
+                     "--out", str(data)]) == 0
+        cfg = make_config(tmp_path, data, budget=2, cycles=1, train_steps_per_cycle=2,
+                          seed=0, batch_size=8, learning_rate=1e32, strategy="random",
+                          hidden_sizes=LoopConfig().hidden_sizes)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 4
+        stdout, err = capsys.readouterr()
+        assert "accuracy=" not in stdout
+        assert "numeric error: layer 0 parameters are non-finite" in err
+        assert not (out / "metrics.jsonl").exists()
 
 
 def write_csv(tmp_path, labels):

@@ -1,12 +1,15 @@
 """Golden trace: the loop's observable behaviour, pinned across commits.
 
 Every strategy, every ablation flag, both stages off at once and
-`cold_start` run on two small datasets: one in id order, and a subset
-with shuffled rows and non-contiguous ids, so that row order differs from id
-order. Each run's fingerprint is its initial labeled ids, per cycle the
-selected ids and the exact `repr` of `accuracy` and `mean_in_total`, and the
-exact `repr` of the final model's summed absolute weights. It is compared
-with the committed `golden_trace.json`.
+`cold_start` run on three small datasets: one in id order, a subset with
+shuffled rows and non-contiguous ids, so that row order differs from id
+order, and one with 16 features, the benchmark's width, where numpy's
+pairwise sum of a row's squares runs its 8 accumulators rather than the
+plain order it takes below 8 features. Each run's fingerprint is its
+initial labeled ids, per cycle the selected ids and the exact `repr` of
+`accuracy` and `mean_in_total`, and the exact `repr` of the final model's
+summed absolute weights. It is compared with the committed
+`golden_trace.json`.
 
 A change that is only a refactor leaves the fixture as it is. A change that
 alters behaviour on purpose (RNG consumption, a formula) regenerates it with
@@ -51,7 +54,8 @@ def datasets():
     ordered = synthetic_dataset(3, 2, 30, noise=0.08, seed=21, dim=3)
     # shuffled rows, and dropping a quarter leaves gaps in the ids
     rows = np.random.default_rng(5).permutation(len(ordered))[: 3 * len(ordered) // 4]
-    return {"ordered": ordered, "shuffled": ordered.subset(rows)}
+    wide = synthetic_dataset(3, 2, 30, noise=0.08, seed=21, dim=16)
+    return {"ordered": ordered, "shuffled": ordered.subset(rows), "wide": wide}
 
 
 def fingerprint(variant, dataset):
@@ -91,7 +95,7 @@ def test_fixture_covers_every_run(current, golden):
     assert sorted(golden) == sorted(current)
 
 
-@pytest.mark.parametrize("dataset", ["ordered", "shuffled"])
+@pytest.mark.parametrize("dataset", ["ordered", "shuffled", "wide"])
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_trace_matches_golden(current, golden, dataset, variant):
     key = f"{dataset}/{variant}"

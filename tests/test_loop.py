@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ideal_al import loop as loop_mod
 from ideal_al.config import LoopConfig
 from ideal_al.data import (Dataset, generate_synthetic, load_dataset,
                            synthetic_dataset, write_dataset)
-from ideal_al.errors import ConfigError, DataError, UsageError
+from ideal_al.errors import ConfigError, DataError, NumericError, UsageError
 from ideal_al.loop import ActiveLearningLoop, Oracle, Pool, baseline_select, run
 from ideal_al.model import Classifier
 from ideal_al.selector import Scores, select
@@ -213,6 +214,40 @@ class TestTrainPhase:
         loop._train_phase(loop._cycle_rngs(0)["train"])
         # 4 labeled rows, 8 unlabeled rows and their 2 x 8 coarse variants
         assert rows == [8 + 16, 16, 16, 4 + 8 + 16] * 7
+
+    def test_update_that_overflows_after_a_finite_loss_is_a_numeric_error(self):
+        # each step's loss is finite; the phase's last update is not
+        ds = synthetic_dataset(2, 2, 30, noise=0.08, seed=21, dim=3)
+        cfg = LoopConfig(budget=2, cycles=1, train_steps_per_cycle=2, seed=0,
+                         batch_size=8, learning_rate=1e32, strategy="random")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="layer 0 parameters are non-finite"):
+                run(cfg, ds)
+
+
+class TestSelectPhase:
+    @pytest.mark.parametrize("overrides, passes", [
+        ({"strategy": "random"}, 0),
+        ({"strategy": "coreset"}, 0),
+        ({"disable_ranker": True, "disable_reranker": True}, 0),
+        ({"strategy": "entropy"}, 1),
+        ({"disable_ranker": True}, 1),
+    ])
+    def test_forward_passes_without_the_ranker(self, overrides, passes, monkeypatch):
+        # random and coreset read only ids and feature rows; entropy and the
+        # ranker-free re-ranking read one blocked pass over the unlabeled rows
+        monkeypatch.setattr(loop_mod, "SCAN_ROWS", 16)
+        loop = ActiveLearningLoop(fast_config(**overrides), small_dataset())
+        rngs = loop._cycle_rngs(0)
+        loop._train_phase(rngs["train"])
+        rows, trace = [], Classifier._trace
+        monkeypatch.setattr(Classifier, "_trace",
+                            lambda model, X: rows.append(len(X)) or trace(model, X))
+        selected, _ = loop._select_phase(rngs)
+        blocks = loop_mod._row_blocks(loop.pool.n_unlabeled, 16)
+        assert len(blocks) > 1
+        assert rows == [e - s for s, e in blocks] * passes
+        assert len(selected) == loop.config.budget
 
 
 class TestDeterminism:

@@ -95,7 +95,7 @@ def test_row_blocks_cover_the_pool_without_short_blocks(scan_rows):
         assert all(scan_rows <= k < 2 * scan_rows for k in sizes) or sizes == [n]
 
 
-def test_blocked_coreset_matches_whole_pool():
+def check_blocked_coreset(fold_cols):
     # the labeled set folded in one row at a time, as the loop carries it,
     # against the whole (n, L, d) difference array
     rng = np.random.default_rng(5)
@@ -103,12 +103,23 @@ def test_blocked_coreset_matches_whole_pool():
     scores = Scores(ids=np.arange(0, 3 * n, 3), in_total=np.zeros(n),
                     entropy=np.zeros(n), reps=rng.normal(size=(n, 4)))
     labeled = rng.normal(size=(6, 4))
-    min_dist, buf, dist = np.full(n, np.inf), np.empty((n, 4)), np.empty(n)
+    reps_t = np.ascontiguousarray(scores.reps.T)
+    min_dist, buf = np.full(n, np.inf), np.empty((4, fold_cols))
     for row in labeled:
-        loop_mod._fold(scores.reps, row, buf, dist, min_dist)
+        loop_mod._fold(reps_t, row, min_dist, buf)
     assert np.array_equal(min_dist, labeled_distances_whole(scores.reps, labeled))
     got = baseline_select("coreset", scores, 10, rng, min_dist=min_dist)
     assert got == coreset_select_whole(scores, 10, labeled)
+
+
+def test_blocked_coreset_matches_whole_pool():
+    check_blocked_coreset(loop_mod.FOLD_COLS)
+
+
+def test_blocked_coreset_matches_whole_pool_across_fold_blocks(monkeypatch):
+    # 45 columns in blocks of 7: the walk crosses blocks and ends on a short one
+    monkeypatch.setattr(loop_mod, "FOLD_COLS", 7)
+    check_blocked_coreset(7)
 
 
 def coreset_loop(d, cycles=5):
@@ -137,20 +148,51 @@ def check_coreset_cycle(lp, t):
     assert np.array_equal(lp._min_dist, brute), t
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
+# every branch of the pairwise order: in turn (< 8), 8 accumulators with and
+# without a tail (<= 128), and halving (> 128)
+WIDTHS = [1, 2, 3, 5, 8, 16, 17, 130]
+
+
+@pytest.mark.parametrize("d", WIDTHS)
 def test_carried_coreset_distances_match_brute_force(d):
     lp = coreset_loop(d)
     for t in range(lp.config.cycles):
         check_coreset_cycle(lp, t)
 
 
-@pytest.mark.parametrize("d", [2, 16])
+@pytest.mark.parametrize("d", [2, 8, 16, 17, 130])
 def test_rows_labeled_outside_coreset_are_folded_in(d):
     lp = coreset_loop(d)
     for t in range(lp.config.cycles):
         check_coreset_cycle(lp, t)
         # a caller labels rows the greedy never picked
         lp.pool.annotate(lp.pool.unlabeled[[0, 3 + t]], lp.oracle)
+
+
+@pytest.mark.parametrize("d", [3, 17])
+def test_carried_coreset_distances_across_fold_blocks(d, monkeypatch):
+    # 7 columns a block: the fold crosses blocks, and its walk over the pool
+    # and over each cycle's unlabeled rows ends on a short block
+    monkeypatch.setattr(loop_mod, "FOLD_COLS", 7)
+    lp = coreset_loop(d)
+    assert len(lp.pool.ids) % 7
+    sizes = []
+    for t in range(lp.config.cycles):
+        sizes.append(lp.pool.n_unlabeled)
+        check_coreset_cycle(lp, t)
+        lp.pool.annotate(lp.pool.unlabeled[[1]], lp.oracle)
+    assert all(n > 7 for n in sizes) and any(n % 7 for n in sizes)
+
+
+def test_pairwise_sum_matches_numpy_reduce_bit_for_bit():
+    # the fold's distances are np.linalg.norm's only while this holds: a numpy
+    # release that changes its summation order fails here
+    rng = np.random.default_rng(11)
+    for d in range(1, 301):
+        x = rng.choice([-1.0, 1.0], size=(40, d)) * 10.0 ** rng.uniform(-9, 9, (40, d))
+        want = np.add.reduce(x, axis=1)
+        got = loop_mod._pairwise_sum(np.ascontiguousarray(x.T))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), d
 
 
 def test_entropy_and_accuracy_small_blocks_match_whole_pool_bit_for_bit(monkeypatch):
