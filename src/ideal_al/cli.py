@@ -18,8 +18,8 @@ ABLATION_VARIANTS = [
     ("full", {}),
     ("no_density", {"disable_density": True}),
     ("no_reranker", {"disable_reranker": True}),
-    ("no_coarse", {"disable_coarse": True}),
-    ("no_fine", {"disable_fine": True}),
+    ("no_coarse", {"gamma": 0.0}),
+    ("no_fine", {"gamma": 1.0}),
     ("no_ranker", {"disable_ranker": True}),
     ("random", {"strategy": "random"}),
 ]

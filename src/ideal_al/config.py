@@ -1,12 +1,14 @@
 """Run configuration: defaults, validation, flat-file round trip.
 
 The config file format is flat `key = value` text, one key per line,
-`#` comments allowed. Unknown keys are hard errors. List-valued keys
+`#` comments allowed. Unknown keys are hard errors. Each value is parsed
+as the type its `LoopConfig` field is annotated with; tuple-valued keys
 (weights, hidden_sizes) use comma separation.
 """
 
 import dataclasses
 import math
+import typing
 from dataclasses import dataclass
 
 from .errors import NOT_UTF8, ConfigError
@@ -27,19 +29,17 @@ class LoopConfig:
     xi: float = 0.1
     alpha: float = 0.75
     delta: float = 0.05
-    weights: tuple = None  # (w_u, w_1..w_K); default all ones
+    weights: tuple[float, ...] = None  # (w_u, w_1..w_K); default all ones
     seed: int = 0
     strategy: str = "ideal"
     disable_ranker: bool = False
     disable_reranker: bool = False
-    disable_coarse: bool = False
-    disable_fine: bool = False
     disable_density: bool = False
     train_steps_per_cycle: int = 300
     lambda_u: float = 1.0
     learning_rate: float = 0.05
     batch_size: int = 32
-    hidden_sizes: tuple = (64, 64)
+    hidden_sizes: tuple[int, ...] = (64, 64)
     init_per_class: int = 2
     cold_start: bool = False
 
@@ -85,35 +85,27 @@ class LoopConfig:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(LoopConfig)}
-_TUPLE_KEYS = {"weights", "hidden_sizes"}
-_STR_KEYS = {"dataset", "test_dataset", "strategy"}
-_BOOL_KEYS = {"disable_ranker", "disable_reranker", "disable_coarse",
-              "disable_fine", "disable_density", "cold_start"}
-_INT_KEYS = {"k_aug", "m_cand", "budget", "cycles", "seed", "train_steps_per_cycle",
-             "batch_size", "init_per_class"}
 
 
 def _parse_value(key, raw):
+    """`raw` as the type `LoopConfig` annotates `key` with."""
     raw = raw.strip()
     if raw.lower() == "none":
         return None
-    if key in _STR_KEYS:
+    kind = _FIELDS[key].type
+    if kind is str:
         return raw
-    if key in _BOOL_KEYS:
+    if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(key, f"not a boolean: {raw!r}")
     try:
-        if key in _TUPLE_KEYS:
-            parts = [p for p in raw.split(",") if p.strip()]
-            if key == "hidden_sizes":
-                return tuple(int(p) for p in parts)
-            return tuple(float(p) for p in parts)
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        if typing.get_origin(kind) is tuple:
+            item = typing.get_args(kind)[0]
+            return tuple(item(p) for p in raw.split(",") if p.strip())
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(key, f"cannot parse value {raw!r}") from exc
 
@@ -151,7 +143,7 @@ def format_config(config):
         value = getattr(config, f.name)
         if value is None:
             text = "none"
-        elif f.name in _TUPLE_KEYS:
+        elif typing.get_origin(f.type) is tuple:
             text = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
         elif isinstance(value, bool):
             text = "true" if value else "false"

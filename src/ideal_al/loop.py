@@ -206,9 +206,10 @@ def baseline_select(strategy, scores, budget, rng, min_dist=None):
     random: uniform without replacement; entropy: top-budget by prediction
     entropy; coreset: greedy k-center on the feature rows. For coreset,
     `min_dist` holds each row's distance to its nearest labeled row (None:
-    nothing labeled yet); the greedy folds every pick into it in place, so it
-    returns holding the distances to the labeled rows and the picks. The
-    greedy walks a feature-major copy of the rows (see `_fold`).
+    nothing labeled yet); the greedy folds every pick into it in place and
+    marks it -inf, so it returns holding the distances to the labeled rows
+    and the picks. The greedy walks a feature-major copy of the rows (see
+    `_fold`).
     """
     if budget > len(scores):
         raise UsageError("budget exceeds pool size")
@@ -228,7 +229,6 @@ def baseline_select(strategy, scores, budget, rng, min_dist=None):
             chosen.append(i)
             _fold(reps_t, reps_t[:, i], min_dist, buf)
             min_dist[i] = -np.inf  # never picked twice, even among duplicates
-        min_dist[chosen] = 0.0
         return scores.ids[chosen].tolist()
     raise ConfigError("strategy", f"unknown strategy {strategy!r}")
 
@@ -255,8 +255,8 @@ class ActiveLearningLoop:
         )
         self.pool = self._initial_pool()
         # coreset's distance from each pool row to its nearest labeled row,
-        # and which labeled rows it covers; made at the first coreset pick
-        self._min_dist = self._folded = None
+        # -inf at a labeled row folded in; made at the first coreset pick
+        self._min_dist = None
         need = config.cycles * config.budget
         if need > self.pool.n_unlabeled:
             raise ConfigError("budget", f"{config.cycles} cycles x budget {config.budget} "
@@ -360,7 +360,9 @@ class ActiveLearningLoop:
         the whole pool; everything in between runs on `_scan`'s blocks. Each
         block's VAT normals are drawn as it is taken, in row order, the same
         stream as one whole-pool draw, so no score depends on the worker
-        count.
+        count. `gamma` weighs the two granularities, and an endpoint skips
+        the one it gives no weight: the coarse inconsistency at `gamma = 0`,
+        the VAT normals and the fine step at `gamma = 1`.
         """
         cfg, model = self.config, self.model
         unlabeled = self.pool.labels < 0
@@ -374,7 +376,7 @@ class ActiveLearningLoop:
             P_orig = model.predict(X[s:e])
             flat = A[s:e].reshape(-1, A.shape[-1])
             P_bar_flat = model.predict(flat)
-            if not cfg.disable_coarse:
+            if cfg.gamma > 0:
                 in_coa[s:e] = selector.coarse_inconsistency(np.concatenate(
                     [P_orig[:, None, :], P_bar_flat.reshape(e - s, k, -1)], axis=1))
             if normals is not None:
@@ -385,19 +387,14 @@ class ActiveLearningLoop:
             ent[s:e] = selector.entropy_rows(P_orig)
 
         def draw_normals(s, e):
-            if cfg.disable_fine:
+            if cfg.gamma == 1:
                 return (None,)
             return (rng.normal(size=((e - s) * k, A.shape[-1])),)
 
         _scan(n, score_block, _scan_workers(), draw_normals)
 
-        gamma = cfg.gamma
-        if cfg.disable_coarse and not cfg.disable_fine:
-            gamma = 0.0
-        elif cfg.disable_fine and not cfg.disable_coarse:
-            gamma = 1.0
         in_total = selector.total_inconsistency(
-            selector.percentiles(in_coa), selector.percentiles(in_fin), gamma)
+            selector.percentiles(in_coa), selector.percentiles(in_fin), cfg.gamma)
         return selector.Scores(ids=ids, in_total=in_total, entropy=ent, reps=X)
 
     def _entropy_records(self):
@@ -417,19 +414,19 @@ class ActiveLearningLoop:
 
     def _labeled_distances(self):
         """Each pool row's distance to its nearest labeled row, carried
-        across cycles. Labeled rows not yet in it, the seed rows at the first
-        call and rows labeled outside coreset since, are folded in here."""
+        across cycles, -inf at a labeled row already folded in. Labeled rows
+        not yet in it, the seed rows at the first call and rows labeled
+        outside coreset since, are folded in here."""
         pool = self.pool
         if self._min_dist is None:
             self._min_dist = np.full(len(pool.ids), np.inf)
-            self._folded = np.zeros(len(pool.ids), dtype=bool)
-        new = np.flatnonzero((pool.labels >= 0) & ~self._folded)
+        new = np.flatnonzero((pool.labels >= 0) & (self._min_dist > -np.inf))
         if len(new):
             features_t = np.ascontiguousarray(pool.features.T)
             buf = np.empty((len(features_t), FOLD_COLS))
             for r in new:
                 _fold(features_t, features_t[:, r], self._min_dist, buf)
-            self._folded[new] = True
+            self._min_dist[new] = -np.inf
         return self._min_dist
 
     def _select_phase(self, rngs):
@@ -465,7 +462,6 @@ class ActiveLearningLoop:
                                    min_dist=min_dist)
         # the greedy folded its picks in: carry that back
         self._min_dist[unlabeled] = min_dist
-        self._folded[np.searchsorted(self.pool.ids, selected)] = True
         return selected, scores
 
     # -- evaluation ----------------------------------------------------

@@ -24,13 +24,13 @@ def score_pool_whole(loop, rng):
     P_bar_flat = model.predict(flat)
     P_bar = P_bar_flat.reshape(len(ids), cfg.k_aug, -1)
 
-    if cfg.disable_coarse:
+    if cfg.gamma == 0:
         in_coa = np.zeros(len(ids))
     else:
         in_coa = selector.coarse_inconsistency(
             np.concatenate([P_orig[:, None, :], P_bar], axis=1))
 
-    if cfg.disable_fine:
+    if cfg.gamma == 1:
         in_fin = np.zeros(len(ids))
     else:
         R, _ = augment.vat_perturbation_batch(
@@ -38,13 +38,8 @@ def score_pool_whole(loop, rng):
         P_hat_flat = model.predict(flat + R)
         in_fin = kl_rows(P_bar_flat, P_hat_flat).reshape(len(ids), cfg.k_aug).sum(axis=1)
 
-    gamma = cfg.gamma
-    if cfg.disable_coarse and not cfg.disable_fine:
-        gamma = 0.0
-    elif cfg.disable_fine and not cfg.disable_coarse:
-        gamma = 1.0
     in_total = selector.total_inconsistency(
-        selector.percentiles(in_coa), selector.percentiles(in_fin), gamma)
+        selector.percentiles(in_coa), selector.percentiles(in_fin), cfg.gamma)
     return selector.Scores(ids=ids, in_total=in_total,
                            entropy=selector.entropy_rows(P_orig), reps=X)
 

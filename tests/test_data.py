@@ -290,14 +290,21 @@ class TestWriteReports:
 class TestConfigParsing:
     def test_round_trip(self):
         config = LoopConfig(budget=11, epsilon=0.25, hidden_sizes=(32, 16),
-                            strategy="entropy", disable_fine=True)
+                            strategy="entropy", disable_density=True)
         assert parse_config(format_config(config)) == config
 
-    # tap_layer is a removed key: a stale config or config.snapshot that
-    # still names it must fail by name
+    def test_list_values_snapshot_as_their_tuples(self):
+        config = LoopConfig(weights=[1.0, 0.5, 0.25], hidden_sizes=[8, 4])
+        parsed = parse_config(format_config(config))
+        assert (parsed.weights, parsed.hidden_sizes) == ((1.0, 0.5, 0.25), (8, 4))
+
+    # tap_layer, disable_coarse and disable_fine are removed keys: a stale
+    # config or config.snapshot that still names one must fail by name
     @pytest.mark.parametrize("line", ["learning_rte = 0.1", "tap_layer = 0",
-                                      "tap_layer = 1"],
-                             ids=["learning_rte", "tap_layer_0", "tap_layer_1"])
+                                      "tap_layer = 1", "disable_coarse = true",
+                                      "disable_fine = false"],
+                             ids=["learning_rte", "tap_layer_0", "tap_layer_1",
+                                  "disable_coarse", "disable_fine"])
     def test_unknown_key_rejected(self, line):
         with pytest.raises(ConfigError, match=f"'{line.split()[0]}'.*unknown"):
             parse_config(f"budget = 5\n{line}\n")

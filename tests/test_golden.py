@@ -1,14 +1,14 @@
 """Golden trace: the loop's observable behaviour, pinned across commits.
 
-Every strategy, every ablation flag, both stages off at once and
-`cold_start` run on three small datasets: one in id order, a subset with
-shuffled rows and non-contiguous ids, so that row order differs from id
-order, and one with 16 features, the benchmark's width, where numpy's
-pairwise sum of a row's squares runs its 8 accumulators rather than the
-plain order it takes below 8 features. Each run's fingerprint is its
-initial labeled ids, per cycle the selected ids and the exact `repr` of
-`accuracy` and `mean_in_total`, and the exact `repr` of the final model's
-summed absolute weights. It is compared with the committed
+Every strategy, every ablation flag, both endpoints of `gamma`, both stages
+off at once and `cold_start` run on three small datasets: one in id order,
+a subset with shuffled rows and non-contiguous ids, so that row order
+differs from id order, and one with 16 features, the benchmark's width,
+where numpy's pairwise sum of a row's squares runs its 8 accumulators
+rather than the plain order it takes below 8 features. Each run's
+fingerprint is its initial labeled ids, per cycle the selected ids and the
+exact `repr` of `accuracy` and `mean_in_total`, and the exact `repr` of the
+final model's summed absolute weights. It is compared with the committed
 `golden_trace.json`.
 
 A change that is only a refactor leaves the fixture as it is. A change that
@@ -19,6 +19,7 @@ alters behaviour on purpose (RNG consumption, a formula) regenerates it with
 and says so.
 """
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -42,8 +43,8 @@ VARIANTS = {
     "coreset": {"strategy": "coreset"},
     "no_ranker": {"disable_ranker": True},
     "no_reranker": {"disable_reranker": True},
-    "no_coarse": {"disable_coarse": True},
-    "no_fine": {"disable_fine": True},
+    "no_coarse": {"gamma": 0.0},
+    "no_fine": {"gamma": 1.0},
     "no_density": {"disable_density": True},
     "no_ranker_no_reranker": {"disable_ranker": True, "disable_reranker": True},
     "cold_start": {"cold_start": True},
@@ -93,6 +94,16 @@ def golden():
 
 def test_fixture_covers_every_run(current, golden):
     assert sorted(golden) == sorted(current)
+
+
+def test_fixture_covers_every_knob():
+    # a new flag, or a branch on an endpoint gamma, is pinned only once a
+    # variant runs it
+    flags = {f.name for f in dataclasses.fields(LoopConfig) if f.type is bool}
+    assert flags <= {key for v in VARIANTS.values() for key, value in v.items()
+                     if value is True}
+    gammas = {v["gamma"] for v in VARIANTS.values() if "gamma" in v}
+    assert {0.0, 1.0} <= gammas
 
 
 @pytest.mark.parametrize("dataset", ["ordered", "shuffled", "wide"])

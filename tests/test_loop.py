@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ideal_al import augment, selector
 from ideal_al import loop as loop_mod
 from ideal_al.config import LoopConfig
 from ideal_al.data import (Dataset, generate_synthetic, load_dataset,
@@ -65,7 +66,7 @@ class TestBaselineSelect:
         got = baseline_select("coreset", records, 1, np.random.default_rng(0),
                               min_dist=min_dist)
         assert got == [2]
-        assert min_dist.tolist() == [0.0, 1.0, 0.0]  # the pick folded in
+        assert min_dist.tolist() == [0.0, 1.0, -np.inf]  # the pick folded in
 
     def test_random_reproducible(self):
         records = self._records([0.5] * 10)
@@ -250,6 +251,51 @@ class TestSelectPhase:
         assert len(selected) == loop.config.budget
 
 
+class TestScoreEndpoints:
+    """An endpoint `gamma` gives one granularity no weight, and the scan
+    skips that granularity's work."""
+
+    @staticmethod
+    def scored_loop(gamma, monkeypatch):
+        monkeypatch.setattr(loop_mod, "SCAN_ROWS", 7)
+        monkeypatch.setattr(loop_mod, "_scan_workers", lambda: 1)
+        loop = ActiveLearningLoop(fast_config(gamma=gamma), small_dataset())
+        loop._train_phase(loop._cycle_rngs(0)["train"])
+        return loop
+
+    @pytest.mark.parametrize("gamma, passes", [(1.0, 2), (0.4, 4), (0.0, 4)])
+    def test_forward_passes_per_block(self, gamma, passes, monkeypatch):
+        # a block predicts its rows and their coarse variants; the fine step
+        # adds the VAT gradient and the perturbed variants
+        loop = self.scored_loop(gamma, monkeypatch)
+        rows, trace = [], Classifier._trace
+        monkeypatch.setattr(Classifier, "_trace",
+                            lambda model, X: rows.append(len(X)) or trace(model, X))
+        loop._score_pool(np.random.default_rng(3))
+        k = loop.config.k_aug
+        blocks = loop_mod._row_blocks(loop.pool.n_unlabeled, 7)
+        assert len(blocks) > 1
+        assert rows == [n for s, e in blocks for n in [e - s] + [(e - s) * k] * (passes - 1)]
+
+    def test_gamma_1_draws_no_vat_normals(self, monkeypatch):
+        loop = self.scored_loop(1.0, monkeypatch)
+        rng, alone = np.random.default_rng(3), np.random.default_rng(3)
+        loop._score_pool(rng)
+        cfg = loop.config
+        augment.coarse_augment_batch(loop.pool.features[loop.pool.labels < 0],
+                                     cfg.k_aug, cfg.delta, alone)
+        assert rng.bit_generator.state == alone.bit_generator.state
+
+    def test_gamma_0_computes_no_coarse_inconsistency(self, monkeypatch):
+        loop = self.scored_loop(0.0, monkeypatch)
+        calls = []
+        monkeypatch.setattr(selector, "coarse_inconsistency",
+                            lambda preds: calls.append(len(preds)))
+        scores = loop._score_pool(np.random.default_rng(3))
+        assert calls == []
+        assert len(scores) == loop.pool.n_unlabeled
+
+
 class TestDeterminism:
     def test_identical_seed_identical_reports(self):
         ds = small_dataset()
@@ -272,7 +318,6 @@ class TestAblations:
     def test_full_ablation_collapses_to_random(self):
         ds = small_dataset()
         ideal_off = fast_config(disable_ranker=True, disable_reranker=True,
-                                disable_coarse=True, disable_fine=True,
                                 disable_density=True)
         random_cfg = fast_config(strategy="random")
         a = run(ideal_off, ds)

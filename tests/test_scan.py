@@ -24,8 +24,8 @@ from oracles import (
 
 VARIANTS = {
     "ideal": {},
-    "disable_coarse": {"disable_coarse": True},
-    "disable_fine": {"disable_fine": True},
+    "gamma_0": {"gamma": 0.0},
+    "gamma_1": {"gamma": 1.0},
 }
 
 
@@ -144,8 +144,9 @@ def check_coreset_cycle(lp, t):
                     reps=pool.features[unlabeled])
     want = coreset_select_whole(scores, lp.config.budget, pool.features[~unlabeled])
     assert lp.run_cycle(t).selected_ids == want, t
-    brute = labeled_distances_whole(pool.features, pool.features[pool.labels >= 0])
-    assert np.array_equal(lp._min_dist, brute), t
+    labeled = pool.labels >= 0
+    brute = labeled_distances_whole(pool.features, pool.features[labeled])
+    assert np.array_equal(lp._min_dist, np.where(labeled, -np.inf, brute)), t
 
 
 # every branch of the pairwise order: in turn (< 8), 8 accumulators with and
