@@ -8,7 +8,9 @@ import sys
 # Pin it here, before this package loads numpy, unless numpy is already
 # loaded or the caller has set a BLAS thread count.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_VARS):
+BLAS_PINNED_ON_IMPORT = ("numpy" not in sys.modules
+                         and not any(v in os.environ for v in BLAS_THREAD_VARS))
+if BLAS_PINNED_ON_IMPORT:
     for _var in BLAS_THREAD_VARS:
         os.environ[_var] = "1"
 

@@ -10,19 +10,23 @@ norm epsilon, obtained with a single power-iteration step.
 import numpy as np
 
 from .errors import UsageError
-from .model import grad_kl_wrt_input_batch
+from .model import grad_kl_from_trace, grad_kl_wrt_input_batch
 
 TRANSFORM_NAMES = ("roll", "block_flip", "jitter")
 
 GRAD_NORM_FLOOR = 1e-12
 
+# values per block of `coarse_augment_batch`'s sup-norm check
+GAP_VALUES = 1 << 16
 
-def coarse_augment_batch(X, k, delta, rng):
+
+def coarse_augment_batch(X, k, delta, rng, out=None):
     """Coarse augmentation: (n, d) -> (n, k, d).
 
     Each (sample, variant) draws one transform of the family independently;
     a variant still within delta of its source in sup norm gets extra jitter.
-    Deterministic given rng.
+    Deterministic given rng. The variants are built in `out`, a C-contiguous
+    (n * k, d) array, when it is given, and returned as its (n, k, d) view.
     """
     X = np.asarray(X, dtype=float)
     if k < 1:
@@ -33,75 +37,97 @@ def coarse_augment_batch(X, k, delta, rng):
     choice = rng.integers(len(TRANSFORM_NAMES), size=n * k)
     if d == 1:
         choice[choice == 0] = 2
-    out = np.repeat(X, k, axis=0)
-    gap = np.empty(n * k)  # each variant's sup-norm distance from its source
+    if out is None:
+        out = np.empty((n * k, d))
+    variants = out.reshape(n, k, d)
+    variants[...] = X[:, None]  # np.repeat(X, k, axis=0)
+    cols = np.arange(d)
 
-    def put(rows, src, moved):
-        out[rows] = moved
-        moved -= src
-        gap[rows] = np.abs(moved, out=moved).max(axis=1)
-
-    rows = np.flatnonzero(choice == 0)
+    # each transform reads its rows' sources from `out` and writes them back
+    rows = (choice == 0).nonzero()[0]
     if rows.size:
         shifts = rng.integers(1, d, size=rows.size)
-        cols = (np.arange(d)[None, :] - shifts[:, None]) % d
-        src = out[rows]
-        put(rows, src, src[np.arange(rows.size)[:, None], cols])
+        out[rows] = out[rows[:, None], (cols - shifts[:, None]) % d]
 
-    rows = np.flatnonzero(choice == 1)
+    rows = (choice == 1).nonzero()[0]
     if rows.size:
         lo = rng.integers(0, d, size=rows.size)
         hi = rng.integers(lo + 1, d + 1)
-        cols = np.arange(d)[None, :]
-        src = out[rows]
-        put(rows, src, np.where((cols >= lo[:, None]) & (cols < hi[:, None]), -src, src))
+        moved = out[rows]
+        np.negative(moved, out=moved,
+                    where=(cols >= lo[:, None]) & (cols < hi[:, None]))
+        out[rows] = moved
 
-    rows = np.flatnonzero(choice == 2)
+    rows = (choice == 2).nonzero()[0]
     if rows.size:
         u = rng.uniform(-1.0, 1.0, size=(rows.size, d))
         u *= 2.0 * delta / np.maximum(np.abs(u).max(axis=1, keepdims=True), 1e-12)
-        src = out[rows]
-        u += src
-        put(rows, src, u)
+        u += out[rows]
+        out[rows] = u
 
-    # enforce the sup-norm > delta contract uniformly
-    rows = np.flatnonzero(gap <= delta)
+    # enforce the sup-norm > delta contract uniformly: each variant's sup-norm
+    # distance from its source, taken over blocks of about GAP_VALUES values
+    # so that a whole pool's variants need no difference array of their size
+    gap = np.empty(n * k)
+    step = max(GAP_VALUES // (k * d), 1)
+    for s in range(0, n, step):
+        diff = variants[s:s + step] - X[s:s + step, None]
+        np.abs(diff, out=diff).max(axis=2, out=gap.reshape(n, k)[s:s + step])
+    rows = (gap <= delta).nonzero()[0]
     if rows.size:
         u = rng.uniform(-1.0, 1.0, size=(rows.size, d))
         m_abs = np.maximum(np.abs(u).max(axis=1, keepdims=True), 1e-12)
         out[rows] += u * (2.0 * delta / m_abs)
-    return out.reshape(n, k, d)
+    return variants
 
 
 def _unit_rows(V):
     """Scale each row of V to unit L2 norm in place; a row whose norm is not
     above 1e-12 becomes e_0. Returns the norms from before the scaling."""
-    norms = np.sqrt((V * V).sum(axis=1))
-    bad = ~(norms > 1e-12)
-    if bad.any():
-        V[bad] = 0.0
-        V[bad, 0] = 1.0
-        V /= np.where(bad, 1.0, norms)[:, None]
-    else:
+    norms = (V * V).sum(axis=1)
+    np.sqrt(norms, out=norms)
+    good = norms > 1e-12
+    if good.all():
         V /= norms[:, None]
+    else:
+        V[~good] = 0.0
+        V[~good, 0] = 1.0
+        V /= np.where(good, norms, 1.0)[:, None]
     return norms
 
 
-def vat_perturbation_batch(model, X_bar, Y_bar, epsilon, xi, normals):
+def vat_probe_rows(X_bar, normals, xi, out=None):
+    """Scale `normals` to unit rows d in place and return the VAT probe rows
+    X_bar + xi*d, written into `out` when it is given."""
+    _unit_rows(normals)
+    out = np.multiply(normals, xi, out=out)
+    out += X_bar
+    return out
+
+
+def vat_perturbation_batch(model, X_bar, Y_bar, epsilon, xi, normals, probe=None):
     """Row-wise virtual adversarial perturbations: (R, degenerate_mask).
 
     One power-iteration step per row: the random unit direction d of that
     row of `normals` (standard normal draws shaped like X_bar, scaled in
     place), the KL gradient evaluated at X + xi*d, normalized and scaled to
     epsilon. Rows whose gradient vanishes fall back to epsilon*d.
+
+    `probe` is the caller's `model._trace` of the probe rows, made by
+    `vat_probe_rows(X_bar, normals, xi)`, which also scaled `normals`; it
+    lets the caller fold this pass into one of its own. Without it both
+    happen here.
     """
     if epsilon <= 0 or xi <= 0:
         raise UsageError("epsilon and xi must be positive")
     X_bar = np.atleast_2d(np.asarray(X_bar, dtype=float))
     Y_bar = np.atleast_2d(np.asarray(Y_bar, dtype=float))
     D = np.atleast_2d(np.asarray(normals, dtype=float))
-    _unit_rows(D)
-    G = grad_kl_wrt_input_batch(model, X_bar, Y_bar, xi * D)
+    if probe is None:
+        _unit_rows(D)
+        G = grad_kl_wrt_input_batch(model, X_bar, Y_bar, xi * D)
+    else:
+        G = grad_kl_from_trace(model, probe, Y_bar)
     degenerate = _unit_rows(G) < GRAD_NORM_FLOOR
     if degenerate.any():
         G[degenerate] = D[degenerate]

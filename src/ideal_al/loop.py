@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import augment, propagator, selector
+from . import BLAS_PINNED_ON_IMPORT, BLAS_THREAD_VARS, augment, propagator, selector
 from .errors import ConfigError, DataError, NumericError, UsageError
 from .model import Classifier, kl_rows, train_step
 
@@ -33,7 +33,14 @@ def _row_blocks(n, size):
 
 
 def _scan_workers():
-    """Worker threads for a pool-wide pass: one per CPU this process may run on."""
+    """Worker threads for a pool-wide pass: one per CPU this process may run
+    on when BLAS runs one thread, else one, as BLAS's own threads would share
+    those CPUs with the workers. BLAS runs one thread when `import ideal_al`
+    pinned it, or when at least one of its thread variables is set and each
+    one set reads 1."""
+    values = [os.environ[v] for v in BLAS_THREAD_VARS if v in os.environ]
+    if not (BLAS_PINNED_ON_IMPORT or values and all(v == "1" for v in values)):
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
@@ -312,39 +319,51 @@ class ActiveLearningLoop:
         cfg = self.config
         if cfg.cold_start:
             self.model = self._initial_model()
-        pool = self.pool
+        model, pool, k = self.model, self.pool, cfg.k_aug
         is_labeled = pool.labels >= 0
         Xl_all = pool.features[is_labeled]
         Yl_all = np.eye(self.dataset.n_classes)[pool.labels[is_labeled]]
         Xu_all = pool.features[~is_labeled]
-        n_l = len(Xl_all)
+        n_l, n_u = len(Xl_all), len(Xu_all)
+        b_l, b_u = min(cfg.batch_size, n_l), min(cfg.batch_size, n_u)
+        n_var = b_u * k
         w = np.asarray(cfg.resolved_weights())
+        # One buffer, filled in place every step, holds the labeled rows, the
+        # unlabeled rows, their coarse variants and the VAT probe rows. Its
+        # [unlabeled; variants; probe] rows are traced in one pass, the first
+        # two parts as one product and the probe rows as another; the
+        # perturbed variants then overwrite the variants, and the first
+        # three parts are the batch that is mixed and trained on.
+        buf = np.empty((b_l + b_u + 2 * n_var, Xl_all.shape[1]))
+        Xl, Xu = buf[:b_l], buf[b_l:b_l + b_u]
+        variants = buf[b_l + b_u:b_l + b_u + n_var]
+        probe = buf[b_l + b_u + n_var:]
+        batch = buf[:b_l + b_u + n_var]
+        targets = np.empty((len(batch), Yl_all.shape[1]))
+        guessed = targets[b_l:b_l + b_u]
         for _ in range(cfg.train_steps_per_cycle):
-            bl = rng.choice(n_l, size=min(cfg.batch_size, n_l),
-                            replace=n_l < cfg.batch_size)
-            X, Y = Xl_all[bl], Yl_all[bl]
-            if len(Xu_all):
-                bu = rng.choice(len(Xu_all), size=min(cfg.batch_size, len(Xu_all)),
-                                replace=False)
-                Xu = Xu_all[bu]
-                A = augment.coarse_augment_batch(Xu, cfg.k_aug, cfg.delta, rng)
-                flat = A.reshape(-1, A.shape[-1])
-                # one pass: the Xu rows feed the label guess, the variant rows
-                # are the VAT reference
-                P = self.model.predict(np.concatenate([Xu, flat]))
+            bl = rng.choice(n_l, size=b_l, replace=n_l < cfg.batch_size)
+            Xl_all.take(bl, axis=0, out=Xl)
+            Yl_all.take(bl, axis=0, out=targets[:b_l])
+            if n_u:
+                bu = rng.choice(n_u, size=b_u, replace=False)
+                Xu_all.take(bu, axis=0, out=Xu)
+                augment.coarse_augment_batch(Xu, k, cfg.delta, rng, out=variants)
+                normals = rng.normal(size=variants.shape)
+                augment.vat_probe_rows(variants, normals, cfg.xi, out=probe)
+                acts = model._trace(buf[b_l:], b_u + n_var)
                 R, _ = augment.vat_perturbation_batch(
-                    self.model, flat, P[len(Xu):], cfg.epsilon, cfg.xi,
-                    rng.normal(size=flat.shape))
-                tilde = flat + R
-                P_tilde = self.model.predict(tilde).reshape(len(Xu), cfg.k_aug, -1)
-                guessed = propagator.guess_labels_batch(P[:len(Xu)], P_tilde, w)
-                X = np.concatenate([X, Xu, tilde])
-                Y = np.concatenate([Y, guessed, np.repeat(guessed, cfg.k_aug, axis=0)])
-            Xm, Ym, _, _ = propagator.build_training_arrays(X, Y, cfg.alpha, rng)
-            train_step(self.model, Xm, Ym, len(bl), cfg.learning_rate, cfg.lambda_u)
+                    model, variants, acts[-1][b_u:b_u + n_var], cfg.epsilon, cfg.xi,
+                    normals, probe=[a[b_u + n_var:] for a in acts])
+                variants += R
+                P_tilde = model.predict(variants).reshape(b_u, k, -1)
+                guessed[...] = propagator.guess_labels_batch(acts[-1][:b_u], P_tilde, w)
+                targets[b_l + b_u:].reshape(b_u, k, -1)[...] = guessed[:, None]
+            Xm, Ym, _, _ = propagator.build_training_arrays(batch, targets, cfg.alpha, rng)
+            train_step(model, Xm, Ym, b_l, cfg.learning_rate, cfg.lambda_u)
         # a step checks its loss, which comes before its update: an update
         # that overflows shows only in the parameters, checked once a phase
-        for i, (W, b) in enumerate(zip(self.model.weights, self.model.biases)):
+        for i, (W, b) in enumerate(zip(model.weights, model.biases)):
             if not (np.isfinite(W).all() and np.isfinite(b).all()):
                 raise NumericError(f"layer {i} parameters are non-finite after "
                                    f"training (learning_rate {cfg.learning_rate})")

@@ -11,13 +11,43 @@ from .errors import InputShapeError, NumericError, UsageError
 PROB_FLOOR = 1e-12
 
 
+def class_sum(a):
+    """`a.sum(axis=-1)`, the sum over the last (class) axis, bit for bit.
+
+    numpy adds a row shorter than 8 in turn from its first entry, so a row of
+    2 to 7 classes is summed here class by class, in that order, with one
+    ufunc call over every row per class instead of one short reduction per
+    row.
+    """
+    C = a.shape[-1]
+    if not 2 <= C <= 7:
+        return a.sum(axis=-1)
+    s = a[..., 0] + a[..., 1]
+    for c in range(2, C):
+        s += a[..., c]
+    return s
+
+
+def _softmax_inplace(z):
+    """Row-wise stable softmax of the float array `z`, written into `z`. A
+    max is exact in any order, so short rows take theirs class by class too."""
+    C = z.shape[-1]
+    if 2 <= C <= 7:
+        m = np.maximum(z[..., 0], z[..., 1])
+        for c in range(2, C):
+            np.maximum(m, z[..., c], out=m)
+        m = m[..., None]
+    else:
+        m = z.max(axis=-1, keepdims=True)
+    z -= m
+    np.exp(z, out=z)
+    z /= class_sum(z)[..., None]
+    return z
+
+
 def softmax(z):
     """Row-wise stable softmax."""
-    z = np.asarray(z, dtype=float)
-    e = z - z.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    return _softmax_inplace(np.array(z, dtype=float))
 
 
 def kl_rows(P, Q):
@@ -25,7 +55,7 @@ def kl_rows(P, Q):
     Q = np.maximum(Q, PROB_FLOOR)
     ratio = np.where(P > 0, P / Q, 1.0)
     terms = np.where(P > 0, P * np.log(ratio), 0.0)
-    return terms.sum(axis=-1)
+    return class_sum(terms)
 
 
 class Classifier:
@@ -73,11 +103,13 @@ class Classifier:
     def n_layers(self):
         return len(self.weights)
 
-    def _trace(self, X):
-        """Forward pass; returns (acts, preacts).
+    def _trace(self, X, split=None):
+        """Forward pass: the activations [X, after layer 0, ..., softmax output].
 
-        acts[0] is X itself; acts[i] the activation after layer i-1.
-        The final entry of acts is the softmax output.
+        With `split`, every layer multiplies the rows before and after it in
+        two products, so each part's values are those of a pass of its own
+        bit for bit: a BLAS kernel's result for a row can depend on where the
+        row sits among the product's row groups.
         """
         a = np.asarray(X, dtype=float)
         if a.shape[-1] != self.input_dim:
@@ -85,28 +117,46 @@ class Classifier:
                 f"input width {a.shape[-1]} != expected {self.input_dim}"
             )
         acts = [a]
-        preacts = []
-        for i in range(self.n_layers):
-            z = acts[-1] @ self.weights[i]
-            z += self.biases[i]
-            preacts.append(z)
-            acts.append(softmax(z) if i == self.n_layers - 1 else np.maximum(z, 0.0))
-        return acts, preacts
+        last = self.n_layers - 1
+        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
+            if split is None:
+                z = a @ W
+            else:
+                z = np.empty((len(a), W.shape[1]))
+                np.matmul(a[:split], W, out=z[:split])
+                np.matmul(a[split:], W, out=z[split:])
+            z += b
+            a = _softmax_inplace(z) if i == last else np.maximum(z, 0.0, out=z)
+            acts.append(a)
+        return acts
 
     def predict(self, X):
         """Class-probability rows for a batch (or a single vector)."""
-        acts, _ = self._trace(np.atleast_2d(X))
-        probs = acts[-1]
+        probs = self._trace(np.atleast_2d(X))[-1]
         return probs[0] if np.ndim(X) == 1 else probs
 
 
-def _backprop_input(model, preacts, delta):
-    """Propagate an output-logit gradient back to the input rows."""
+def _backprop_input(model, acts, delta):
+    """Propagate an output-logit gradient back to the input rows of the trace
+    `acts`; a hidden unit passes it where its ReLU output is positive."""
     for i in range(model.n_layers - 1, -1, -1):
         delta = delta @ model.weights[i].T
         if i > 0:
-            delta = delta * (preacts[i - 1] > 0)
+            delta *= acts[i] > 0
     return delta
+
+
+def grad_kl_from_trace(model, acts, reference):
+    """Row-wise gradient of KL(reference_i || p(. | x_i)) with respect to the
+    input row x_i, from the trace `acts` of those rows."""
+    probs = acts[-1]
+    reference = np.atleast_2d(np.asarray(reference, dtype=float))
+    if reference.shape != probs.shape:
+        raise InputShapeError(
+            f"reference shape {reference.shape} != prediction shape {probs.shape}"
+        )
+    # d KL(p || softmax(z)) / dz = q - p  (p fixed, rows summing to one)
+    return _backprop_input(model, acts, probs - reference)
 
 
 def grad_kl_wrt_input_batch(model, base, reference, offset):
@@ -118,27 +168,28 @@ def grad_kl_wrt_input_batch(model, base, reference, offset):
     """
     base = np.atleast_2d(np.asarray(base, dtype=float))
     offset = np.atleast_2d(np.asarray(offset, dtype=float))
-    reference = np.atleast_2d(np.asarray(reference, dtype=float))
     if base.shape != offset.shape:
         raise InputShapeError("base and offset shapes differ")
-    X = base + offset
-    acts, preacts = model._trace(X)
-    probs = acts[-1]
-    if reference.shape != probs.shape:
-        raise InputShapeError(
-            f"reference shape {reference.shape} != prediction shape {probs.shape}"
-        )
-    # d KL(p || softmax(z)) / dz = q - p  (p fixed, rows summing to one)
-    delta = probs - reference
-    return _backprop_input(model, preacts, delta)
+    return grad_kl_from_trace(model, model._trace(base + offset), reference)
 
 
-def _accumulate_param_grads(model, acts, preacts, delta, grads_w, grads_b):
+def _mean(a):
+    """`np.mean(a)` of a float64 array, bit for bit: the same sum over all
+    values divided by their count, without its Python-level dispatch."""
+    return np.add.reduce(a, axis=None) / a.size
+
+
+def _param_grads(model, acts, delta):
+    """Every layer's weight and bias gradients, ([dW_i], [db_i]), from the
+    trace `acts` of a batch and the output-logit gradient `delta` of its rows."""
+    grads_w, grads_b = [None] * model.n_layers, [None] * model.n_layers
     for i in range(model.n_layers - 1, -1, -1):
-        grads_w[i] += acts[i].T @ delta
-        grads_b[i] += delta.sum(axis=0)
+        grads_w[i] = acts[i].T @ delta
+        grads_b[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ model.weights[i].T) * (preacts[i - 1] > 0)
+            delta = delta @ model.weights[i].T
+            delta *= acts[i] > 0
+    return grads_w, grads_b
 
 
 def train_step(model, X, Y, n_sup, learning_rate, lambda_u):
@@ -147,8 +198,8 @@ def train_step(model, X, Y, n_sup, learning_rate, lambda_u):
     X, Y: (n, d) rows of the mixed batch and their (n, C) one-hot or soft
     targets. The first `n_sup` rows feed cross-entropy, the rest the mean
     squared distance between the predicted simplex and the target simplex.
-    One forward pass covers every row; the gradients are accumulated over the
-    supervised rows, then over the consistency rows.
+    One forward pass covers every row; the gradients are taken over the
+    supervised rows, then over the consistency rows, and added.
 
     Returns (model, loss). The model is updated in place.
     """
@@ -160,31 +211,42 @@ def train_step(model, X, Y, n_sup, learning_rate, lambda_u):
         raise UsageError(f"train_step needs a nonempty batch and 0 <= n_sup <= {n}, "
                          f"got n_sup {n_sup}")
 
-    acts, preacts = model._trace(X)
-    grads_w = [np.zeros_like(w) for w in model.weights]
-    grads_b = [np.zeros_like(b) for b in model.biases]
+    acts = model._trace(X)
+    probs = acts[-1]
     loss = 0.0
+    grads = None
 
     if n_sup:
-        a, z = [v[:n_sup] for v in acts], [v[:n_sup] for v in preacts]
-        probs, Yl = a[-1], Y[:n_sup]
-        loss += -np.mean(np.sum(Yl * np.log(np.maximum(probs, PROB_FLOOR)), axis=1))
-        _accumulate_param_grads(model, a, z, (probs - Yl) / n_sup, grads_w, grads_b)
+        p, Yl = probs[:n_sup], Y[:n_sup]
+        t = np.maximum(p, PROB_FLOOR)
+        np.log(t, out=t)
+        t *= Yl
+        loss += -_mean(class_sum(t))
+        delta = p - Yl
+        delta /= n_sup
+        grads = _param_grads(model, [a[:n_sup] for a in acts], delta)
 
     if n_u:
-        a, z = [v[n_sup:] for v in acts], [v[n_sup:] for v in preacts]
-        probs, Yu = a[-1], Y[n_sup:]
-        C = probs.shape[1]
-        loss += lambda_u * float(np.mean((probs - Yu) ** 2))
+        p, Yu = probs[n_sup:], Y[n_sup:]
+        C = p.shape[1]
+        g = p - Yu
+        loss += lambda_u * float(_mean(g * g))
         # d/dq of mean_c (q-y)^2, then through the softmax Jacobian
-        g = lambda_u * 2.0 * (probs - Yu) / (C * n_u)
-        delta = probs * (g - np.sum(g * probs, axis=1, keepdims=True))
-        _accumulate_param_grads(model, a, z, delta, grads_w, grads_b)
+        g *= lambda_u * 2.0
+        g /= C * n_u
+        g -= class_sum(g * p)[:, None]
+        g *= p
+        part = _param_grads(model, [a[n_sup:] for a in acts], g)
+        if grads is None:
+            grads = part
+        else:
+            for acc, more in zip(grads[0] + grads[1], part[0] + part[1]):
+                acc += more
 
     if not np.isfinite(loss):
         raise NumericError(f"non-finite training loss: {loss}")
 
-    for i in range(model.n_layers):
-        model.weights[i] -= learning_rate * grads_w[i]
-        model.biases[i] -= learning_rate * grads_b[i]
+    for param, grad in zip(model.weights + model.biases, grads[0] + grads[1]):
+        grad *= learning_rate
+        param -= grad
     return model, float(loss)

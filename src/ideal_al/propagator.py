@@ -18,11 +18,16 @@ def guess_labels_batch(P_orig, P_aug, weights):
     predictions; weights: (w_u, w_1..w_K).
     """
     w = np.asarray(weights, dtype=float)
-    K = P_aug.shape[1]
+    n, K, C = P_aug.shape
     if len(w) != K + 1:
         raise UsageError(f"expected {K + 1} weights, got {len(w)}")
-    total = w[0] * P_orig + np.tensordot(P_aug, w[1:], axes=([1], [0]))
-    return total / w.sum()
+    # np.tensordot(P_aug, w[1:], axes=([1], [0])) without its axis
+    # bookkeeping: the same dot of the same two arrays
+    total = np.dot(P_aug.transpose(0, 2, 1).reshape(n * C, K),
+                   w[1:].reshape(K, 1)).reshape(n, C)
+    total += w[0] * P_orig
+    total /= w.sum()
+    return total
 
 
 def build_training_arrays(H, Y, alpha, rng):
@@ -37,7 +42,12 @@ def build_training_arrays(H, Y, alpha, rng):
         raise UsageError("nothing to mix")
     perm = rng.permutation(n)
     lam = rng.beta(alpha, alpha, size=n)
-    lam = np.maximum(lam, 1.0 - lam)[:, None]
-    Xm = lam * H + (1.0 - lam) * H[perm]
-    Ym = lam * Y + (1.0 - lam) * Y[perm]
+    np.maximum(lam, 1.0 - lam, out=lam)
+    lam = lam[:, None]
+    mu = 1.0 - lam
+    Xm, Ym = H.take(perm, axis=0), Y.take(perm, axis=0)
+    Xm *= mu
+    Xm += lam * H
+    Ym *= mu
+    Ym += lam * Y
     return Xm, Ym, perm, lam[:, 0]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputShapeError, UsageError
+from .model import class_sum
 
 NORM_FLOOR = 1e-12
 
@@ -48,7 +49,7 @@ def coarse_inconsistency(preds):
     P = np.atleast_2d(np.asarray(preds, dtype=float))
     if P.shape[-2] < 2:
         raise UsageError("need the original plus at least one augmented prediction")
-    out = P.var(axis=-2).sum(axis=-1)
+    out = class_sum(P.var(axis=-2))
     return float(out) if out.ndim == 0 else out
 
 
@@ -73,7 +74,7 @@ def entropy_rows(P):
     """Shannon entropy (natural log) of each probability row."""
     P = np.clip(np.asarray(P, dtype=float), 0.0, 1.0)
     terms = np.where(P > 0, P * np.log(np.where(P > 0, P, 1.0)), 0.0)
-    return -terms.sum(axis=-1)
+    return -class_sum(terms)
 
 
 def density_factors(reps):
@@ -109,6 +110,8 @@ def select(scores, m_cand, budget, use_density=True):
     if m_cand > len(scores):
         raise UsageError(f"m_cand {m_cand} exceeds pool size {len(scores)}")
     cand = top_k(scores.in_total, scores.ids, m_cand)
+    if m_cand == len(scores) and np.array_equal(cand, np.arange(m_cand)):
+        cand = slice(None)  # the whole pool in id order: read its rows in place
     ids = scores.ids[cand]
     density_entropy = scores.entropy[cand]
     if use_density:

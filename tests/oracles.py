@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 
-from ideal_al import augment, selector
+from ideal_al import augment, propagator, selector
 from ideal_al.data import Dataset
 from ideal_al.errors import DataError, UsageError
-from ideal_al.model import PROB_FLOOR, _accumulate_param_grads, kl_rows
+from ideal_al.model import PROB_FLOOR, kl_rows, train_step
 
 
 def score_pool_whole(loop, rng):
@@ -138,10 +138,37 @@ def coreset_select_whole(scores, budget, labeled_reps):
     return chosen
 
 
+def _forward_reference(model, X):
+    """A plain forward pass, (activations, pre-activations), the softmax
+    taken with numpy's row reductions."""
+    acts, zs = [np.asarray(X, dtype=float)], []
+    for i, (W, b) in enumerate(zip(model.weights, model.biases)):
+        z = acts[-1] @ W + b
+        zs.append(z)
+        if i == len(model.weights) - 1:
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            acts.append(e / e.sum(axis=1, keepdims=True))
+        else:
+            acts.append(np.maximum(z, 0.0))
+    return acts, zs
+
+
+def _accumulate_reference(model, acts, zs, delta, grads_w, grads_b):
+    """Add every layer's weight and bias gradients for the output-logit
+    gradient `delta` into the zeroed accumulators, ReLU masks taken from the
+    pre-activations."""
+    for i in range(len(model.weights) - 1, -1, -1):
+        grads_w[i] += acts[i].T @ delta
+        grads_b[i] += delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ model.weights[i].T) * (zs[i - 1] > 0)
+
+
 def train_step_two_pass(model, labeled, unlabeled, learning_rate, lambda_u):
     """`model.train_step` as two forward passes: `labeled` and `unlabeled` are
     (X, Y) pairs or None, each traced on its own, supervised gradients
-    accumulated first. Updates the model in place; returns the loss."""
+    accumulated first. Shares no forward or backward code with the package.
+    Updates the model in place; returns the loss."""
     n_l = 0 if labeled is None else len(labeled[0])
     n_u = 0 if unlabeled is None else len(unlabeled[0])
     if n_l == 0 and n_u == 0:
@@ -151,23 +178,60 @@ def train_step_two_pass(model, labeled, unlabeled, learning_rate, lambda_u):
     loss = 0.0
     if n_l:
         Xl, Yl = (np.asarray(v, dtype=float) for v in labeled)
-        acts, preacts = model._trace(Xl)
+        acts, zs = _forward_reference(model, Xl)
         probs = acts[-1]
         loss += -np.mean(np.sum(Yl * np.log(np.maximum(probs, PROB_FLOOR)), axis=1))
-        _accumulate_param_grads(model, acts, preacts, (probs - Yl) / n_l,
-                                grads_w, grads_b)
+        _accumulate_reference(model, acts, zs, (probs - Yl) / n_l, grads_w, grads_b)
     if n_u:
         Xu, Yu = (np.asarray(v, dtype=float) for v in unlabeled)
-        acts, preacts = model._trace(Xu)
+        acts, zs = _forward_reference(model, Xu)
         probs = acts[-1]
         loss += lambda_u * float(np.mean((probs - Yu) ** 2))
         g = lambda_u * 2.0 * (probs - Yu) / (probs.shape[1] * n_u)
         delta = probs * (g - np.sum(g * probs, axis=1, keepdims=True))
-        _accumulate_param_grads(model, acts, preacts, delta, grads_w, grads_b)
-    for i in range(model.n_layers):
+        _accumulate_reference(model, acts, zs, delta, grads_w, grads_b)
+    for i in range(len(model.weights)):
         model.weights[i] -= learning_rate * grads_w[i]
         model.biases[i] -= learning_rate * grads_b[i]
     return float(loss)
+
+
+def train_phase_reference(loop, rng):
+    """`ActiveLearningLoop._train_phase` as each step once ran: the batch
+    built by concatenation and four forward passes, `[Xu; variants]`, the
+    VAT gradient at the probe rows, the perturbed variants and the mixed
+    batch, with the VAT step making its own probe pass."""
+    cfg = loop.config
+    if cfg.cold_start:
+        loop.model = loop._initial_model()
+    pool = loop.pool
+    is_labeled = pool.labels >= 0
+    Xl_all = pool.features[is_labeled]
+    Yl_all = np.eye(loop.dataset.n_classes)[pool.labels[is_labeled]]
+    Xu_all = pool.features[~is_labeled]
+    n_l = len(Xl_all)
+    w = np.asarray(cfg.resolved_weights())
+    for _ in range(cfg.train_steps_per_cycle):
+        bl = rng.choice(n_l, size=min(cfg.batch_size, n_l),
+                        replace=n_l < cfg.batch_size)
+        X, Y = Xl_all[bl], Yl_all[bl]
+        if len(Xu_all):
+            bu = rng.choice(len(Xu_all), size=min(cfg.batch_size, len(Xu_all)),
+                            replace=False)
+            Xu = Xu_all[bu]
+            A = augment.coarse_augment_batch(Xu, cfg.k_aug, cfg.delta, rng)
+            flat = A.reshape(-1, A.shape[-1])
+            P = loop.model.predict(np.concatenate([Xu, flat]))
+            R, _ = augment.vat_perturbation_batch(
+                loop.model, flat, P[len(Xu):], cfg.epsilon, cfg.xi,
+                rng.normal(size=flat.shape))
+            tilde = flat + R
+            P_tilde = loop.model.predict(tilde).reshape(len(Xu), cfg.k_aug, -1)
+            guessed = propagator.guess_labels_batch(P[:len(Xu)], P_tilde, w)
+            X = np.concatenate([X, Xu, tilde])
+            Y = np.concatenate([Y, guessed, np.repeat(guessed, cfg.k_aug, axis=0)])
+        Xm, Ym, _, _ = propagator.build_training_arrays(X, Y, cfg.alpha, rng)
+        train_step(loop.model, Xm, Ym, len(bl), cfg.learning_rate, cfg.lambda_u)
 
 
 def kl(p, q):

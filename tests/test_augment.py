@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ideal_al import augment
 from ideal_al.augment import coarse_augment_batch, vat_perturbation_batch
 from ideal_al.errors import UsageError
 from ideal_al.model import Classifier
@@ -85,6 +86,24 @@ class TestCoarseAugmentBatch:
             assert rng.bit_generator.state == ref_rng.bit_generator.state, (d, seed)
 
 
+    @pytest.mark.parametrize("gap_values", [1, 20, 1 << 16])
+    def test_sup_norm_blocks_and_callers_buffer(self, gap_values, monkeypatch):
+        # the sup-norm check one row at a time, a few rows at a time and all
+        # rows at once, the variants built in the caller's buffer
+        monkeypatch.setattr(augment, "GAP_VALUES", gap_values)
+        for seed in range(60):
+            k, d = (1, 2, 3)[seed % 3], (1, 4, 5)[seed // 3 % 3]
+            data = np.random.default_rng([seed, 7])
+            X = data.uniform(-1, 1, (int(data.integers(1, 30)), d))
+            X[data.random(len(X)) < 0.3] = 0.0
+            out = np.full((len(X) * k, d), np.nan)
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = coarse_augment_batch(X, k, 0.05, rng, out=out)
+            assert np.shares_memory(got, out) and got.shape == (len(X), k, d)
+            assert np.array_equal(got, coarse_augment_batch_reference(X, k, 0.05, ref_rng))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def normals(X, seed):
     """Standard normal draws shaped like X, for the VAT directions."""
     return np.random.default_rng(seed).normal(size=np.shape(X))
@@ -98,6 +117,19 @@ def vat_one(m, x, y, eps, xi, rng):
 
 
 class TestVatPerturbation:
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_callers_probe_trace_matches_its_own_pass(self, zero):
+        # the step traces the probe rows in its own pass and hands them over
+        m = zero_model((5, 16, 3)) if zero else tiny_model(3, sizes=(5, 16, 3))
+        X = np.random.default_rng(2).uniform(0, 1, (20, 5))
+        Y = np.random.default_rng(3).dirichlet(np.ones(3), size=20)
+        R, degenerate = vat_perturbation_batch(m, X, Y, 0.3, 0.1, normals(X, 4))
+        D = normals(X, 4)
+        probe = augment.vat_probe_rows(X, D, 0.1)
+        R2, degenerate2 = vat_perturbation_batch(m, X, Y, 0.3, 0.1, D, probe=m._trace(probe))
+        assert np.array_equal(R, R2) and np.array_equal(degenerate, degenerate2)
+        assert degenerate.all() == zero
+
     def test_norm_equals_epsilon(self):
         m = tiny_model(3)
         X = np.random.default_rng(1).uniform(0, 1, (20, 2))

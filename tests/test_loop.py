@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -13,6 +14,7 @@ from ideal_al.errors import ConfigError, DataError, NumericError, UsageError
 from ideal_al.loop import ActiveLearningLoop, Oracle, Pool, baseline_select, run
 from ideal_al.model import Classifier
 from ideal_al.selector import Scores, select
+from oracles import train_phase_reference
 
 
 def small_dataset(seed=0, per_class=60, dim=4):
@@ -205,16 +207,17 @@ class TestPool:
 
 
 class TestTrainPhase:
-    def test_four_forward_passes_per_ssl_step(self, monkeypatch):
-        # per step: [Xu; variants] once (label guess and VAT reference), the
-        # VAT gradient, the perturbed variants, and the mixed batch once
+    def test_three_forward_passes_per_ssl_step(self, monkeypatch):
+        # per step: [Xu; variants; VAT probe rows] once (label guess, VAT
+        # reference and VAT gradient), the perturbed variants, and the mixed
+        # batch once
         loop = ActiveLearningLoop(fast_config(train_steps_per_cycle=7), small_dataset())
         rows, trace = [], Classifier._trace
-        monkeypatch.setattr(Classifier, "_trace",
-                            lambda model, X: rows.append(len(X)) or trace(model, X))
+        monkeypatch.setattr(Classifier, "_trace", lambda model, X, *split:
+                            rows.append(len(X)) or trace(model, X, *split))
         loop._train_phase(loop._cycle_rngs(0)["train"])
         # 4 labeled rows, 8 unlabeled rows and their 2 x 8 coarse variants
-        assert rows == [8 + 16, 16, 16, 4 + 8 + 16] * 7
+        assert rows == [8 + 16 + 16, 16, 4 + 8 + 16] * 7
 
     def test_update_that_overflows_after_a_finite_loss_is_a_numeric_error(self):
         # each step's loss is finite; the phase's last update is not
@@ -224,6 +227,73 @@ class TestTrainPhase:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="layer 0 parameters are non-finite"):
                 run(cfg, ds)
+
+
+class TestTrainPhaseReference:
+    """The step against `oracles.train_phase_reference` (concatenated
+    batches, four forward passes, the VAT step's own probe pass), bit for
+    bit, on the branches the golden trace does not reach."""
+
+    @staticmethod
+    def _dataset(n_classes=2, per_class=20, dim=4):
+        return synthetic_dataset(n_classes, 2, per_class, noise=0.1, seed=3, dim=dim)
+
+    @staticmethod
+    def _assert_phase_matches(loop, cycle=0):
+        ref = copy.deepcopy(loop)
+        rng, ref_rng = loop._cycle_rngs(cycle)["train"], ref._cycle_rngs(cycle)["train"]
+        before = [p.copy() for p in loop.model.weights + loop.model.biases]
+        loop._train_phase(rng)
+        train_phase_reference(ref, ref_rng)
+        got, exp = loop.model.weights + loop.model.biases, ref.model.weights + ref.model.biases
+        assert any(not np.array_equal(p, q) for p, q in zip(got, before))
+        assert all(np.array_equal(p, q) for p, q in zip(got, exp))
+        # the same draws, in the same order
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("overrides, data", [
+        # 4 labeled rows against a batch of 8, drawn with replacement
+        ({}, {}),
+        # 6 unlabeled rows against a batch of 8, and 9 against 16: the fused
+        # pass splits its products after 18 and 27 rows, inside a BLAS row
+        # group, and its (32, 2) and (32, 9) output layers are where a row's
+        # bits depend on that
+        ({"budget": 1, "cycles": 1, "hidden_sizes": (32, 32)}, {"per_class": 5, "dim": 16}),
+        ({"budget": 1, "batch_size": 16, "init_per_class": 1, "hidden_sizes": (32, 32)},
+         {"n_classes": 9, "per_class": 2, "dim": 16}),
+        # one labeled row, one unlabeled row and one variant: every part of
+        # the fused pass is a one-row product
+        ({"batch_size": 1, "k_aug": 1, "hidden_sizes": (32, 32)}, {"dim": 16}),
+        ({"k_aug": 1}, {}),
+        ({"k_aug": 3}, {}),
+        ({}, {"dim": 1}),
+        ({}, {"n_classes": 3}),
+        # the softmax's whole-row path
+        ({}, {"n_classes": 9, "per_class": 6}),
+    ])
+    def test_matches_reference(self, overrides, data):
+        cfg = fast_config(train_steps_per_cycle=6, **overrides)
+        self._assert_phase_matches(ActiveLearningLoop(cfg, self._dataset(**data)))
+
+    def test_final_retrain_on_an_exhausted_pool(self):
+        # 6 unlabeled rows, 3 cycles of 2: the last phase has no unlabeled row
+        loop = ActiveLearningLoop(fast_config(budget=2, cycles=3, train_steps_per_cycle=6),
+                                  self._dataset(per_class=5))
+        for t in range(3):
+            loop.run_cycle(t)
+        assert loop.pool.n_unlabeled == 0
+        self._assert_phase_matches(loop, cycle=3)
+
+    def test_zero_weight_model_with_degenerate_vat_rows(self, monkeypatch):
+        loop = ActiveLearningLoop(fast_config(train_steps_per_cycle=6), self._dataset())
+        m = loop.model
+        loop.model = Classifier([np.zeros_like(w) for w in m.weights],
+                                [np.zeros_like(b) for b in m.biases])
+        masks, vat = [], augment.vat_perturbation_batch
+        monkeypatch.setattr(augment, "vat_perturbation_batch", lambda *a, **kw:
+                            (out := vat(*a, **kw), masks.append(out[1]))[0])
+        self._assert_phase_matches(loop)
+        assert len(masks) == 12 and all(mask.all() for mask in masks)
 
 
 class TestSelectPhase:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ideal_al.errors import InputShapeError, UsageError
 from ideal_al.model import (
     Classifier,
+    class_sum,
     grad_kl_wrt_input_batch,
     kl_rows,
     softmax,
@@ -31,6 +32,41 @@ def simplex(draw_dim=4):
     return st.lists(
         st.floats(min_value=1e-6, max_value=1.0), min_size=draw_dim, max_size=draw_dim
     ).map(lambda xs: np.array(xs) / np.sum(xs))
+
+
+class TestShortRows:
+    """Class-by-class reductions against numpy's own, bit for bit."""
+
+    @staticmethod
+    def _values(shape, seed):
+        # magnitudes from 1e-9 to 1e9 of both signs, so the order of the
+        # additions shows in the last bits
+        rng = np.random.default_rng(seed)
+        return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-9, 9, shape)
+
+    @pytest.mark.parametrize("C", range(1, 10))
+    def test_class_sum_matches_numpy_sum(self, C):
+        for a in (self._values((500, C), C), self._values((40, 3, C), C),
+                  self._values((500, 2 * C), C)[:, ::2], self._values(C, C)):
+            assert np.array_equal(class_sum(a), a.sum(axis=-1))
+
+    @pytest.mark.parametrize("C", range(1, 10))
+    def test_softmax_matches_numpy_reductions(self, C):
+        z = np.random.default_rng(C).normal(0.0, 30.0, (500, C))
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        assert np.array_equal(softmax(z), e / e.sum(axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("sizes", [(16, 32, 2), (16, 32, 9), (3, 8, 6, 3)])
+    @pytest.mark.parametrize("n, split", [(40, 24), (33, 18), (2, 1), (7, 6), (9, 4)])
+    def test_split_trace_matches_a_trace_per_part(self, sizes, n, split):
+        # (32, 2) and (32, 9) output layers give a row bits that depend on its
+        # place among the kernel's row groups; a one-row part takes another
+        # BLAS path
+        m = tiny_model(1, sizes=sizes)
+        X = np.random.default_rng(n).uniform(0, 1, (n, sizes[0]))
+        fused = m._trace(X, split)
+        for a, b, c in zip(fused, m._trace(X[:split]), m._trace(X[split:])):
+            assert np.array_equal(a[:split], b) and np.array_equal(a[split:], c)
 
 
 class TestForward:

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ideal_al import BLAS_THREAD_VARS
 from ideal_al import loop as loop_mod
 from ideal_al.config import LoopConfig
 from ideal_al.data import Dataset, synthetic_dataset
@@ -48,6 +49,29 @@ def both_scans(lp, seed=9):
         sys.setswitchinterval(interval)
     whole = score_pool_whole(lp, rng_whole)
     return blocked, whole, rng_blocked, rng_whole
+
+
+@pytest.mark.parametrize("pinned_on_import, env, workers", [
+    (True, {}, 2),
+    # the variables BLAS read at import are what count, not later values
+    (True, {"OMP_NUM_THREADS": "4"}, 2),
+    (False, {}, 1),
+    (False, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+    # perfbench/run.py sets all three before it loads numpy
+    (False, dict.fromkeys(BLAS_THREAD_VARS, "1"), 2),
+    (False, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 1),
+    (False, {"MKL_NUM_THREADS": "2"}, 1),
+])
+def test_scan_workers_follow_the_blas_pin(pinned_on_import, env, workers, monkeypatch):
+    # with BLAS unpinned its threads and the scan's workers share the CPUs:
+    # a 40k-row scan took 439 ms on two workers against 336 ms on one
+    monkeypatch.setattr(loop_mod, "BLAS_PINNED_ON_IMPORT", pinned_on_import)
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(loop_mod.os, "sched_getaffinity", lambda pid: {0, 1})
+    assert loop_mod._scan_workers() == workers
 
 
 @pytest.mark.parametrize("name", list(VARIANTS))

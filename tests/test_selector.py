@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,33 @@ class TestSelect:
             phi_f1 = percentiles(raw_fin ** 3 + raw_fin)
             assert np.array_equal(phi_c0, phi_c1)
             assert np.array_equal(phi_f0, phi_f1)
+
+    @staticmethod
+    def _peak(scores, m_cand, budget):
+        tracemalloc.start()
+        try:
+            got = select(scores, m_cand, budget)
+            return got, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_whole_pool_in_id_order_is_read_in_place(self):
+        # the ranker-free ablation: in_total is all zeros, so the candidates
+        # are the whole pool in id order
+        n, d, budget = 20_000, 16, 50
+        rng = np.random.default_rng(4)
+        scores = Scores(ids=np.arange(0, 3 * n, 3), in_total=np.zeros(n),
+                        entropy=rng.uniform(0, 1, n), reps=rng.uniform(0.1, 1.0, (n, d)))
+        cand = top_k(scores.in_total, scores.ids, n)
+        assert np.array_equal(cand, np.arange(n))
+        ids = scores.ids[cand]
+        copied = scores.entropy[cand] * density_factors(scores.reps[cand].copy())
+        got, peak = self._peak(scores, n, budget)
+        assert got == ids[top_k(copied, ids, budget)].tolist()
+        # one candidate out of id order: the rows are copied
+        shuffled = dataclasses.replace(scores, in_total=np.eye(1, n, n - 1)[0])
+        _, peak_copy = self._peak(shuffled, n, budget)
+        assert peak_copy - peak > 0.9 * scores.reps.nbytes
 
     def test_density_leq_entropy_for_nonnegative_reps(self):
         # the weights select() applies when every sample is a candidate
