@@ -10,7 +10,7 @@ norm epsilon, obtained with a single power-iteration step.
 import numpy as np
 
 from .errors import UsageError
-from .model import grad_kl_from_trace, grad_kl_wrt_input_batch
+from .model import grad_kl_wrt_input_batch
 
 TRANSFORM_NAMES = ("roll", "block_flip", "jitter")
 
@@ -99,37 +99,28 @@ def _unit_rows(V):
 def vat_probe_rows(X_bar, normals, xi, out=None):
     """Scale `normals` to unit rows d in place and return the VAT probe rows
     X_bar + xi*d, written into `out` when it is given."""
+    if xi <= 0:
+        raise UsageError("xi must be positive")
     _unit_rows(normals)
     out = np.multiply(normals, xi, out=out)
     out += X_bar
     return out
 
 
-def vat_perturbation_batch(model, X_bar, Y_bar, epsilon, xi, normals, probe=None):
+def vat_perturbation_batch(model, probe_acts, reference, epsilon, directions):
     """Row-wise virtual adversarial perturbations: (R, degenerate_mask).
 
-    One power-iteration step per row: the random unit direction d of that
-    row of `normals` (standard normal draws shaped like X_bar, scaled in
-    place), the KL gradient evaluated at X + xi*d, normalized and scaled to
-    epsilon. Rows whose gradient vanishes fall back to epsilon*d.
-
-    `probe` is the caller's `model._trace` of the probe rows, made by
-    `vat_probe_rows(X_bar, normals, xi)`, which also scaled `normals`; it
-    lets the caller fold this pass into one of its own. Without it both
-    happen here.
+    One power-iteration step per row: the KL(reference_i || p) gradient at
+    the probe row x_i + xi*d_i, from `probe_acts`, the caller's
+    `model._trace` of the rows `vat_probe_rows` made, normalized and scaled
+    to epsilon. `directions` holds the unit rows d that call left in the
+    normals; a row whose gradient vanishes falls back to epsilon*d.
     """
-    if epsilon <= 0 or xi <= 0:
-        raise UsageError("epsilon and xi must be positive")
-    X_bar = np.atleast_2d(np.asarray(X_bar, dtype=float))
-    Y_bar = np.atleast_2d(np.asarray(Y_bar, dtype=float))
-    D = np.atleast_2d(np.asarray(normals, dtype=float))
-    if probe is None:
-        _unit_rows(D)
-        G = grad_kl_wrt_input_batch(model, X_bar, Y_bar, xi * D)
-    else:
-        G = grad_kl_from_trace(model, probe, Y_bar)
+    if epsilon <= 0:
+        raise UsageError("epsilon must be positive")
+    G = grad_kl_wrt_input_batch(model, probe_acts, reference)
     degenerate = _unit_rows(G) < GRAD_NORM_FLOOR
     if degenerate.any():
-        G[degenerate] = D[degenerate]
+        G[degenerate] = directions[degenerate]
     G *= epsilon
     return G, degenerate

@@ -20,8 +20,13 @@ from .errors import ConfigError, DataError, NumericError, UsageError
 from .model import Classifier, kl_rows, train_step
 
 # Rows per block of a pool-wide pass: bounds each in-flight block's (rows *
-# k_aug, width) intermediates while keeping each block one large GEMM.
+# (2 * k_aug + 1), width) intermediates while keeping its GEMMs large.
 SCAN_ROWS = 512
+
+# Most workers, so most blocks in flight, of a pool-wide pass on any CPU
+# count. Chosen by memory: a scoring block's SCAN_ROWS * (2 * k_aug + 1)-row
+# buffer is 16 MB at width 784 and k_aug = 2, so 8 hold about 128 MB.
+SCAN_MAX_WORKERS = 8
 
 
 def _row_blocks(n, size):
@@ -49,8 +54,13 @@ def _scan_workers():
 
 def _scan(n, block, workers=1, prepare=lambda s, e: ()):
     """Run `block(s, e, *prepare(s, e))` for every block of
-    `_row_blocks(n, SCAN_ROWS)` on up to `workers` threads, this one among
-    them, each taking the next block when it is free.
+    `_row_blocks(n, SCAN_ROWS)` on up to `workers` threads, never more than
+    SCAN_MAX_WORKERS nor more than one per two blocks, this one among them,
+    each taking the next block when it is free.
+
+    With fewer than two blocks a worker a thread gains little (the tail
+    block can be nearly twice a block) and its malloc arena keeps its own
+    freed block arrays; the README gives the measurements.
 
     A block is taken and prepared under one lock, so `prepare` runs in block
     order and draws it makes from a shared stream do not depend on the
@@ -78,7 +88,7 @@ def _scan(n, block, workers=1, prepare=lambda s, e: ()):
             failed.set()
             raise
 
-    helpers = min(workers, len(blocks)) - 1
+    helpers = min(workers, SCAN_MAX_WORKERS, len(blocks) // 2) - 1
     with ThreadPoolExecutor(max_workers=max(helpers, 1)) as executor:
         futures = [executor.submit(work) for _ in range(helpers)]
         work()
@@ -351,10 +361,10 @@ class ActiveLearningLoop:
                 augment.coarse_augment_batch(Xu, k, cfg.delta, rng, out=variants)
                 normals = rng.normal(size=variants.shape)
                 augment.vat_probe_rows(variants, normals, cfg.xi, out=probe)
-                acts = model._trace(buf[b_l:], b_u + n_var)
+                acts = model._trace(buf[b_l:], (b_u + n_var,))
                 R, _ = augment.vat_perturbation_batch(
-                    model, variants, acts[-1][b_u:b_u + n_var], cfg.epsilon, cfg.xi,
-                    normals, probe=[a[b_u + n_var:] for a in acts])
+                    model, [a[b_u + n_var:] for a in acts], acts[-1][b_u:b_u + n_var],
+                    cfg.epsilon, normals)
                 variants += R
                 P_tilde = model.predict(variants).reshape(b_u, k, -1)
                 guessed[...] = propagator.guess_labels_batch(acts[-1][:b_u], P_tilde, w)
@@ -379,36 +389,47 @@ class ActiveLearningLoop:
         the whole pool; everything in between runs on `_scan`'s blocks. Each
         block's VAT normals are drawn as it is taken, in row order, the same
         stream as one whole-pool draw, so no score depends on the worker
-        count. `gamma` weighs the two granularities, and an endpoint skips
-        the one it gives no weight: the coarse inconsistency at `gamma = 0`,
-        the VAT normals and the fine step at `gamma = 1`.
+        count. A block traces its rows, their coarse variants and their VAT
+        probe rows in one pass, each part in its own product (see
+        `Classifier._trace`), as the SSL step does; the VAT perturbations
+        are then added to the variants in place, and those are predicted.
+        `gamma` weighs the two granularities, and an endpoint skips the one
+        it gives no weight: the coarse inconsistency at `gamma = 0`, the VAT
+        normals, probe rows and fine step at `gamma = 1`.
         """
         cfg, model = self.config, self.model
         unlabeled = self.pool.labels < 0
         ids = self.pool.ids[unlabeled]
         X = self.pool.features[unlabeled]
-        n, k = len(ids), cfg.k_aug
-        A = augment.coarse_augment_batch(X, k, cfg.delta, rng)
+        n, k, d = len(ids), cfg.k_aug, X.shape[1]
+        A = augment.coarse_augment_batch(X, k, cfg.delta, rng).reshape(n * k, d)
         in_coa, in_fin, ent = np.zeros(n), np.zeros(n), np.empty(n)
+        fine = cfg.gamma < 1
 
         def score_block(s, e, normals):
-            P_orig = model.predict(X[s:e])
-            flat = A[s:e].reshape(-1, A.shape[-1])
-            P_bar_flat = model.predict(flat)
+            m = e - s
+            cut = m * (k + 1)  # [rows; variants], then the probe rows
+            buf = np.empty((cut + m * k if fine else cut, d))
+            buf[:m] = X[s:e]
+            variants = buf[m:cut]
+            variants[...] = A[s * k:e * k]
+            if fine:
+                augment.vat_probe_rows(variants, normals, cfg.xi, out=buf[cut:])
+            acts = model._trace(buf, (m, cut) if fine else (m,))
+            P_orig, P_bar = acts[-1][:m], acts[-1][m:cut]
             if cfg.gamma > 0:
                 in_coa[s:e] = selector.coarse_inconsistency(np.concatenate(
-                    [P_orig[:, None, :], P_bar_flat.reshape(e - s, k, -1)], axis=1))
-            if normals is not None:
+                    [P_orig[:, None, :], P_bar.reshape(m, k, -1)], axis=1))
+            if fine:
                 R, _ = augment.vat_perturbation_batch(
-                    model, flat, P_bar_flat, cfg.epsilon, cfg.xi, normals)
-                P_hat_flat = model.predict(flat + R)
-                in_fin[s:e] = kl_rows(P_bar_flat, P_hat_flat).reshape(e - s, k).sum(axis=1)
+                    model, [a[cut:] for a in acts], P_bar, cfg.epsilon, normals)
+                del acts  # free the hidden layers before the next pass makes its own
+                variants += R
+                in_fin[s:e] = kl_rows(P_bar, model.predict(variants)).reshape(m, k).sum(axis=1)
             ent[s:e] = selector.entropy_rows(P_orig)
 
         def draw_normals(s, e):
-            if cfg.gamma == 1:
-                return (None,)
-            return (rng.normal(size=((e - s) * k, A.shape[-1])),)
+            return (rng.normal(size=((e - s) * k, d)) if fine else None,)
 
         _scan(n, score_block, _scan_workers(), draw_normals)
 

@@ -103,13 +103,14 @@ class Classifier:
     def n_layers(self):
         return len(self.weights)
 
-    def _trace(self, X, split=None):
+    def _trace(self, X, split=()):
         """Forward pass: the activations [X, after layer 0, ..., softmax output].
 
-        With `split`, every layer multiplies the rows before and after it in
-        two products, so each part's values are those of a pass of its own
-        bit for bit: a BLAS kernel's result for a row can depend on where the
-        row sits among the product's row groups.
+        `split` holds ascending row boundaries. Every layer multiplies the
+        rows between two boundaries in a product of their own, so each part's
+        values are those of a pass of its own bit for bit: a BLAS kernel's
+        result for a row can depend on where the row sits among the product's
+        row groups.
         """
         a = np.asarray(X, dtype=float)
         if a.shape[-1] != self.input_dim:
@@ -119,12 +120,12 @@ class Classifier:
         acts = [a]
         last = self.n_layers - 1
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            if split is None:
+            if not split:
                 z = a @ W
             else:
                 z = np.empty((len(a), W.shape[1]))
-                np.matmul(a[:split], W, out=z[:split])
-                np.matmul(a[split:], W, out=z[split:])
+                for s, e in zip((0, *split), (*split, len(a))):
+                    np.matmul(a[s:e], W, out=z[s:e])
             z += b
             a = _softmax_inplace(z) if i == last else np.maximum(z, 0.0, out=z)
             acts.append(a)
@@ -136,19 +137,12 @@ class Classifier:
         return probs[0] if np.ndim(X) == 1 else probs
 
 
-def _backprop_input(model, acts, delta):
-    """Propagate an output-logit gradient back to the input rows of the trace
-    `acts`; a hidden unit passes it where its ReLU output is positive."""
-    for i in range(model.n_layers - 1, -1, -1):
-        delta = delta @ model.weights[i].T
-        if i > 0:
-            delta *= acts[i] > 0
-    return delta
-
-
-def grad_kl_from_trace(model, acts, reference):
+def grad_kl_wrt_input_batch(model, acts, reference):
     """Row-wise gradient of KL(reference_i || p(. | x_i)) with respect to the
-    input row x_i, from the trace `acts` of those rows."""
+    input row x_i, from the trace `acts` of those rows (`Classifier._trace`),
+    in one batched backward pass; a hidden unit passes it where its ReLU
+    output is positive. Each hidden layer's gradient overwrites that layer's
+    activations in `acts`, so the pass allocates no layer of its own."""
     probs = acts[-1]
     reference = np.atleast_2d(np.asarray(reference, dtype=float))
     if reference.shape != probs.shape:
@@ -156,21 +150,12 @@ def grad_kl_from_trace(model, acts, reference):
             f"reference shape {reference.shape} != prediction shape {probs.shape}"
         )
     # d KL(p || softmax(z)) / dz = q - p  (p fixed, rows summing to one)
-    return _backprop_input(model, acts, probs - reference)
-
-
-def grad_kl_wrt_input_batch(model, base, reference, offset):
-    """Row-wise gradient of KL(reference_i || p(. | base_i + offset_i)).
-
-    The gradient is taken with respect to the offset (equivalently the
-    perturbed input). Rows are independent, so one batched backward pass
-    yields every per-row gradient.
-    """
-    base = np.atleast_2d(np.asarray(base, dtype=float))
-    offset = np.atleast_2d(np.asarray(offset, dtype=float))
-    if base.shape != offset.shape:
-        raise InputShapeError("base and offset shapes differ")
-    return grad_kl_from_trace(model, model._trace(base + offset), reference)
+    delta = probs - reference
+    for i in range(model.n_layers - 1, 0, -1):
+        mask = acts[i] > 0
+        delta = np.matmul(delta, model.weights[i].T, out=acts[i])
+        delta *= mask
+    return delta @ model.weights[0].T
 
 
 def _mean(a):

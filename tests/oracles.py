@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from ideal_al import augment, propagator, selector
+from ideal_al import loop as loop_mod
 from ideal_al.data import Dataset
 from ideal_al.errors import DataError, UsageError
 from ideal_al.model import PROB_FLOOR, kl_rows, train_step
@@ -33,7 +34,7 @@ def score_pool_whole(loop, rng):
     if cfg.gamma == 1:
         in_fin = np.zeros(len(ids))
     else:
-        R, _ = augment.vat_perturbation_batch(
+        R, _ = vat_perturbation_reference(
             model, flat, P_bar_flat, cfg.epsilon, cfg.xi, rng.normal(size=flat.shape))
         P_hat_flat = model.predict(flat + R)
         in_fin = kl_rows(P_bar_flat, P_hat_flat).reshape(len(ids), cfg.k_aug).sum(axis=1)
@@ -42,6 +43,37 @@ def score_pool_whole(loop, rng):
         selector.percentiles(in_coa), selector.percentiles(in_fin), cfg.gamma)
     return selector.Scores(ids=ids, in_total=in_total,
                            entropy=selector.entropy_rows(P_orig), reps=X)
+
+
+def score_pool_reference(loop, rng):
+    """`ActiveLearningLoop._score_pool` as its blocks once ran, one after
+    another over the same `_row_blocks`: four forward passes a block (its
+    rows, their coarse variants, the VAT step's own probe pass, the perturbed
+    variants), each a product of its own, the coarse variants drawn by
+    `coarse_augment_batch_reference`."""
+    cfg, model = loop.config, loop.model
+    unlabeled = loop.pool.labels < 0
+    ids = loop.pool.ids[unlabeled]
+    X = loop.pool.features[unlabeled]
+    n, k = len(ids), cfg.k_aug
+    A = coarse_augment_batch_reference(X, k, cfg.delta, rng)
+    in_coa, in_fin, ent = np.zeros(n), np.zeros(n), np.empty(n)
+    for s, e in loop_mod._row_blocks(n, loop_mod.SCAN_ROWS):
+        P_orig = _forward_reference(model, X[s:e])[0][-1]
+        flat = A[s:e].reshape(-1, X.shape[1])
+        P_bar = _forward_reference(model, flat)[0][-1]
+        if cfg.gamma > 0:
+            in_coa[s:e] = selector.coarse_inconsistency(np.concatenate(
+                [P_orig[:, None, :], P_bar.reshape(e - s, k, -1)], axis=1))
+        if cfg.gamma < 1:
+            R, _ = vat_perturbation_reference(model, flat, P_bar, cfg.epsilon, cfg.xi,
+                                              rng.normal(size=flat.shape))
+            P_hat = _forward_reference(model, flat + R)[0][-1]
+            in_fin[s:e] = kl_rows(P_bar, P_hat).reshape(e - s, k).sum(axis=1)
+        ent[s:e] = selector.entropy_rows(P_orig)
+    in_total = selector.total_inconsistency(
+        selector.percentiles(in_coa), selector.percentiles(in_fin), cfg.gamma)
+    return selector.Scores(ids=ids, in_total=in_total, entropy=ent, reps=X)
 
 
 def entropy_records_whole(loop):
@@ -153,6 +185,35 @@ def _forward_reference(model, X):
     return acts, zs
 
 
+def _unit_rows_reference(V):
+    """Each row of V over its L2 norm, e_0 for a row whose norm is not above
+    1e-12; returns (unit rows, norms)."""
+    norms = np.linalg.norm(V, axis=1)
+    good = norms > 1e-12
+    e0 = np.zeros_like(V)
+    e0[:, 0] = 1.0
+    return np.where(good[:, None], V / np.where(good, norms, 1.0)[:, None], e0), norms
+
+
+def vat_perturbation_reference(model, X_bar, Y_bar, epsilon, xi, normals):
+    """`augment.vat_perturbation_batch` as the step once ran on its own:
+    unit directions d from `normals` (left as they are), a forward pass of
+    its own at X_bar + xi*d and a backward loop of its own to the inputs,
+    the gradient rows normalized and scaled to epsilon, a row whose gradient
+    vanishes falling back to epsilon*d. Returns (R, degenerate_mask)."""
+    D, _ = _unit_rows_reference(np.asarray(normals, dtype=float))
+    acts, zs = _forward_reference(model, np.asarray(X_bar, dtype=float) + xi * D)
+    delta = acts[-1] - Y_bar
+    for i in range(len(model.weights) - 1, -1, -1):
+        delta = delta @ model.weights[i].T
+        if i > 0:
+            delta = delta * (zs[i - 1] > 0)
+    G, norms = _unit_rows_reference(delta)
+    degenerate = norms < augment.GRAD_NORM_FLOOR
+    G[degenerate] = D[degenerate]
+    return epsilon * G, degenerate
+
+
 def _accumulate_reference(model, acts, zs, delta, grads_w, grads_b):
     """Add every layer's weight and bias gradients for the output-logit
     gradient `delta` into the zeroed accumulators, ReLU masks taken from the
@@ -200,7 +261,8 @@ def train_phase_reference(loop, rng):
     """`ActiveLearningLoop._train_phase` as each step once ran: the batch
     built by concatenation and four forward passes, `[Xu; variants]`, the
     VAT gradient at the probe rows, the perturbed variants and the mixed
-    batch, with the VAT step making its own probe pass."""
+    batch, with the VAT step making its own probe pass
+    (`vat_perturbation_reference`)."""
     cfg = loop.config
     if cfg.cold_start:
         loop.model = loop._initial_model()
@@ -222,7 +284,7 @@ def train_phase_reference(loop, rng):
             A = augment.coarse_augment_batch(Xu, cfg.k_aug, cfg.delta, rng)
             flat = A.reshape(-1, A.shape[-1])
             P = loop.model.predict(np.concatenate([Xu, flat]))
-            R, _ = augment.vat_perturbation_batch(
+            R, _ = vat_perturbation_reference(
                 loop.model, flat, P[len(Xu):], cfg.epsilon, cfg.xi,
                 rng.normal(size=flat.shape))
             tilde = flat + R

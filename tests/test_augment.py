@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from ideal_al import augment
-from ideal_al.augment import coarse_augment_batch, vat_perturbation_batch
+from ideal_al.augment import coarse_augment_batch, vat_perturbation_batch, vat_probe_rows
 from ideal_al.errors import UsageError
 from ideal_al.model import Classifier
 from oracles import coarse_augment_batch_reference, kl
-from util import relu_kink_free
+from util import relu_kink_free, vat_step
 
 
 def tiny_model(seed=0, sizes=(2, 4, 2)):
@@ -110,24 +110,21 @@ def normals(X, seed):
 
 
 def vat_one(m, x, y, eps, xi, rng):
-    """`vat_perturbation_batch` on a single row: (vector, degenerate)."""
-    R, degenerate = vat_perturbation_batch(m, x[None], y[None], eps, xi,
-                                           rng.normal(size=(1, len(x))))
+    """`vat_step` on a single row: (vector, degenerate)."""
+    R, degenerate = vat_step(m, x[None], y[None], eps, xi, rng.normal(size=(1, len(x))))
     return R[0], bool(degenerate[0])
 
 
 class TestVatPerturbation:
     @pytest.mark.parametrize("zero", [False, True])
-    def test_callers_probe_trace_matches_its_own_pass(self, zero):
-        # the step traces the probe rows in its own pass and hands them over
-        m = zero_model((5, 16, 3)) if zero else tiny_model(3, sizes=(5, 16, 3))
-        X = np.random.default_rng(2).uniform(0, 1, (20, 5))
-        Y = np.random.default_rng(3).dirichlet(np.ones(3), size=20)
-        R, degenerate = vat_perturbation_batch(m, X, Y, 0.3, 0.1, normals(X, 4))
-        D = normals(X, 4)
-        probe = augment.vat_probe_rows(X, D, 0.1)
-        R2, degenerate2 = vat_perturbation_batch(m, X, Y, 0.3, 0.1, D, probe=m._trace(probe))
-        assert np.array_equal(R, R2) and np.array_equal(degenerate, degenerate2)
+    @pytest.mark.parametrize("sizes", [(5, 16, 3), (16, 64, 64, 9)])
+    def test_matches_own_pass_reference(self, zero, sizes):
+        # the step back-propagates through its caller's trace of the probe
+        # rows; `vat_step` checks it against a step that makes its own pass
+        m = zero_model(sizes) if zero else tiny_model(3, sizes=sizes)
+        X = np.random.default_rng(2).uniform(0, 1, (40, sizes[0]))
+        Y = np.random.default_rng(3).dirichlet(np.ones(sizes[-1]), size=40)
+        _, degenerate = vat_step(m, X, Y, 0.3, 0.1, normals(X, 4))
         assert degenerate.all() == zero
 
     def test_norm_equals_epsilon(self):
@@ -137,16 +134,14 @@ class TestVatPerturbation:
         Y = m.predict(X)
         for eps in (1e-2, 0.5, 10.0):
             # a degenerate row falls back to its random direction, also of norm eps
-            R, degenerate = vat_perturbation_batch(m, X, Y, epsilon=eps, xi=0.1,
-                                                   normals=normals(X, 0))
+            R, degenerate = vat_step(m, X, Y, eps, 0.1, normals(X, 0))
             assert not degenerate[0]
             assert np.allclose(np.linalg.norm(R, axis=1), eps, rtol=0, atol=1e-9)
 
     def test_degenerate_on_flat_model(self):
         m = zero_model()
         X = np.array([[0.3, 0.6], [0.1, 0.2]])
-        R, degenerate = vat_perturbation_batch(m, X, m.predict(X), epsilon=1.0,
-                                               xi=0.1, normals=normals(X, 0))
+        R, degenerate = vat_step(m, X, m.predict(X), 1.0, 0.1, normals(X, 0))
         assert degenerate.all()
         assert np.allclose(np.linalg.norm(R, axis=1), 1.0, rtol=0, atol=1e-9)
 
@@ -154,8 +149,8 @@ class TestVatPerturbation:
         m = tiny_model(2)
         X = np.array([[0.1, 0.9], [0.4, 0.3]])
         Y = m.predict(X)
-        a, _ = vat_perturbation_batch(m, X, Y, 0.5, 0.1, normals(X, 7))
-        b, _ = vat_perturbation_batch(m, X, Y, 0.5, 0.1, normals(X, 7))
+        a, _ = vat_step(m, X, Y, 0.5, 0.1, normals(X, 7))
+        b, _ = vat_step(m, X, Y, 0.5, 0.1, normals(X, 7))
         assert np.array_equal(a, b)
 
     def test_sphere_grid_dominance(self):
@@ -187,16 +182,19 @@ class TestVatPerturbation:
     def test_invalid_params(self):
         m = tiny_model(1)
         X = np.zeros((1, 2))
-        with pytest.raises(UsageError):
-            vat_perturbation_batch(m, X, m.predict(X), 0.0, 0.1, normals(X, 0))
+        with pytest.raises(UsageError, match="xi"):
+            vat_probe_rows(X, normals(X, 0), 0.0)
+        D = normals(X, 0)
+        acts = m._trace(vat_probe_rows(X, D, 0.1))
+        with pytest.raises(UsageError, match="epsilon"):
+            vat_perturbation_batch(m, acts, m.predict(X), 0.0, D)
 
 
 def fine_variants(m, x, k, epsilon, rng):
     """The loop's fine variants of one sample: its coarse variants, each
     moved by its own VAT perturbation. Returns (coarse, fine), both (k, d)."""
     bar = coarse_augment_batch(x[None], k, 0.05, rng)[0]
-    R, _ = vat_perturbation_batch(m, bar, m.predict(bar), epsilon, 0.1,
-                                  rng.normal(size=bar.shape))
+    R, _ = vat_step(m, bar, m.predict(bar), epsilon, 0.1, rng.normal(size=bar.shape))
     return bar, bar + R
 
 

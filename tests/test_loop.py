@@ -14,6 +14,7 @@ from ideal_al.errors import ConfigError, DataError, NumericError, UsageError
 from ideal_al.loop import ActiveLearningLoop, Oracle, Pool, baseline_select, run
 from ideal_al.model import Classifier
 from ideal_al.selector import Scores, select
+import oracles
 from oracles import train_phase_reference
 
 
@@ -289,11 +290,15 @@ class TestTrainPhaseReference:
         m = loop.model
         loop.model = Classifier([np.zeros_like(w) for w in m.weights],
                                 [np.zeros_like(b) for b in m.biases])
-        masks, vat = [], augment.vat_perturbation_batch
-        monkeypatch.setattr(augment, "vat_perturbation_batch", lambda *a, **kw:
-                            (out := vat(*a, **kw), masks.append(out[1]))[0])
+        masks = {}
+        for owner, name in ((augment, "vat_perturbation_batch"),
+                            (oracles, "vat_perturbation_reference")):
+            vat, masks[name] = getattr(owner, name), []
+            monkeypatch.setattr(owner, name, lambda *a, vat=vat, seen=masks[name]:
+                                (out := vat(*a), seen.append(out[1]))[0])
         self._assert_phase_matches(loop)
-        assert len(masks) == 12 and all(mask.all() for mask in masks)
+        for seen in masks.values():
+            assert len(seen) == 6 and all(mask.all() for mask in seen)
 
 
 class TestSelectPhase:
@@ -333,19 +338,29 @@ class TestScoreEndpoints:
         loop._train_phase(loop._cycle_rngs(0)["train"])
         return loop
 
-    @pytest.mark.parametrize("gamma, passes", [(1.0, 2), (0.4, 4), (0.0, 4)])
-    def test_forward_passes_per_block(self, gamma, passes, monkeypatch):
-        # a block predicts its rows and their coarse variants; the fine step
-        # adds the VAT gradient and the perturbed variants
+    @pytest.mark.parametrize("gamma, parts", [(1.0, 2), (0.4, 4), (0.0, 4)])
+    def test_forward_passes_per_block(self, gamma, parts, monkeypatch):
+        # a block traces its rows, their coarse variants and, for the fine
+        # step, their VAT probe rows in one pass, each part in a product of
+        # its own; the fine step then predicts the perturbed variants. So four
+        # parts in two passes, or two parts in one pass at gamma = 1
         loop = self.scored_loop(gamma, monkeypatch)
-        rows, trace = [], Classifier._trace
-        monkeypatch.setattr(Classifier, "_trace",
-                            lambda model, X: rows.append(len(X)) or trace(model, X))
+        calls, trace = [], Classifier._trace
+        monkeypatch.setattr(Classifier, "_trace", lambda model, X, split=():
+                            calls.append((len(X), split)) or trace(model, X, split))
         loop._score_pool(np.random.default_rng(3))
         k = loop.config.k_aug
         blocks = loop_mod._row_blocks(loop.pool.n_unlabeled, 7)
         assert len(blocks) > 1
-        assert rows == [n for s, e in blocks for n in [e - s] + [(e - s) * k] * (passes - 1)]
+        want = []
+        for s, e in blocks:
+            n = e - s
+            if gamma == 1:
+                want += [(n * (k + 1), (n,))]
+            else:
+                want += [(n * (2 * k + 1), (n, n * (k + 1))), (n * k, ())]
+        assert calls == want
+        assert sum(len(split) + 1 for _, split in calls) == parts * len(blocks)
 
     def test_gamma_1_draws_no_vat_normals(self, monkeypatch):
         loop = self.scored_loop(1.0, monkeypatch)

@@ -61,12 +61,14 @@ class TestShortRows:
     def test_split_trace_matches_a_trace_per_part(self, sizes, n, split):
         # (32, 2) and (32, 9) output layers give a row bits that depend on its
         # place among the kernel's row groups; a one-row part takes another
-        # BLAS path
+        # BLAS path. One boundary, then two (a part may be empty).
         m = tiny_model(1, sizes=sizes)
         X = np.random.default_rng(n).uniform(0, 1, (n, sizes[0]))
-        fused = m._trace(X, split)
-        for a, b, c in zip(fused, m._trace(X[:split]), m._trace(X[split:])):
-            assert np.array_equal(a[:split], b) and np.array_equal(a[split:], c)
+        for bounds in ((split,), (split // 2, split), (split, (split + n) // 2)):
+            fused = m._trace(X, bounds)
+            for s, e in zip((0, *bounds), (*bounds, n)):
+                for a, b in zip(fused, m._trace(X[s:e])):
+                    assert np.array_equal(a[s:e], b), (bounds, s, e)
 
 
 class TestForward:
@@ -145,8 +147,9 @@ def finite_diff_grad(model, base, reference, offset, h=1e-4):
 
 
 def grad_one(model, base, reference, offset):
-    """`grad_kl_wrt_input_batch` on a single row."""
-    return grad_kl_wrt_input_batch(model, base[None], reference[None], offset[None])[0]
+    """`grad_kl_wrt_input_batch` on a single row, from its trace at base + offset."""
+    return grad_kl_wrt_input_batch(model, model._trace((base + offset)[None]),
+                                   reference[None])[0]
 
 
 class TestGradWrtInput:

@@ -3,12 +3,13 @@ against their whole-pool oracles."""
 
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ideal_al import BLAS_THREAD_VARS
+from ideal_al import BLAS_THREAD_VARS, augment, selector
 from ideal_al import loop as loop_mod
 from ideal_al.config import LoopConfig
 from ideal_al.data import Dataset, synthetic_dataset
@@ -20,6 +21,7 @@ from oracles import (
     coreset_select_whole,
     entropy_records_whole,
     labeled_distances_whole,
+    score_pool_reference,
     score_pool_whole,
 )
 
@@ -107,6 +109,96 @@ def test_default_blocks_match_whole_pool():
     m, b = lp.config.m_cand, lp.config.budget
     assert select(blocked, m, b) == select(whole, m, b)
     assert rng_blocked.bit_generator.state == rng_whole.bit_generator.state
+
+
+# The benchmark's widths: hidden (64, 64) and 16 features, where a row's last
+# bits depend on its place among a product's row groups (output widths 2, 3
+# and 9 among them), so a part that shared another part's product would show.
+WIDE_CASES = {
+    "C2": ({}, {}),
+    "C3": ({}, {"n_classes": 3}),
+    "C9": ({}, {"n_classes": 9}),
+    "k1": ({"k_aug": 1}, {}),
+    "k3": ({"k_aug": 3}, {}),
+    "d1": ({}, {"dim": 1}),
+    "gamma_0": ({"gamma": 0.0}, {}),
+    "gamma_1": ({"gamma": 1.0}, {}),
+    "zero_model": ({}, {}),
+}
+
+
+@pytest.mark.parametrize("scan_rows, workers", [(7, 1), (7, 3), (512, 1), (512, 3)])
+@pytest.mark.parametrize("name", list(WIDE_CASES))
+def test_fused_blocks_match_four_pass_reference_at_benchmark_width(
+        name, scan_rows, workers, monkeypatch):
+    monkeypatch.setattr(loop_mod, "SCAN_ROWS", scan_rows)
+    monkeypatch.setattr(loop_mod, "_scan_workers", lambda: workers)
+    overrides, data = WIDE_CASES[name]
+    C = data.get("n_classes", 2)
+    ds = synthetic_dataset(C, 2, 1300 // C, noise=0.1, seed=4, dim=data.get("dim", 16))
+    cfg = LoopConfig(budget=5, m_cand=40, train_steps_per_cycle=10, seed=2,
+                     batch_size=16, **overrides)
+    assert cfg.hidden_sizes == (64, 64)
+    lp = ActiveLearningLoop(cfg, ds)
+    lp._train_phase(np.random.default_rng(0))
+    masks = []
+    if name == "zero_model":
+        # every VAT gradient vanishes: each row falls back to its direction
+        lp.model = Classifier([np.zeros_like(w) for w in lp.model.weights],
+                              [np.zeros_like(b) for b in lp.model.biases])
+        vat = augment.vat_perturbation_batch
+        monkeypatch.setattr(augment, "vat_perturbation_batch",
+                            lambda *a: (out := vat(*a), masks.append(out[1]))[0])
+    # the raw coarse and fine inconsistencies, before the percentiles hide
+    # their last bits
+    raw, percentiles = [], selector.percentiles
+    monkeypatch.setattr(selector, "percentiles", lambda v: raw.append(v) or percentiles(v))
+    assert len(loop_mod._row_blocks(lp.pool.n_unlabeled, scan_rows)) > 1
+    rng_fused, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
+    fused, ref = lp._score_pool(rng_fused), score_pool_reference(lp, rng_ref)
+    for field in ("ids", "in_total", "entropy", "reps"):
+        assert np.array_equal(getattr(fused, field), getattr(ref, field)), field
+    assert len(raw) == 4
+    assert np.array_equal(raw[0], raw[2]) and np.array_equal(raw[1], raw[3])
+    m, b = cfg.m_cand, cfg.budget
+    assert select(fused, m, b) == select(ref, m, b)
+    assert rng_fused.bit_generator.state == rng_ref.bit_generator.state
+    if name == "zero_model":
+        assert masks and all(mask.all() for mask in masks)
+
+
+@pytest.mark.parametrize("workers, blocks, threads", [
+    (3, 1, 1),
+    (3, 3, 1),
+    (3, 4, 2),
+    (3, 7, 3),
+    # 16 CPUs: without the cap each would hold a block's buffers
+    (16, 64, loop_mod.SCAN_MAX_WORKERS),
+])
+def test_scan_starts_one_worker_per_two_blocks_up_to_the_cap(workers, blocks, threads,
+                                                             monkeypatch):
+    # a block holds its slot until `threads` blocks are in flight (or 2 s
+    # pass), so every started worker takes one and a worker too many shows
+    monkeypatch.setattr(loop_mod, "SCAN_ROWS", 4)
+    monkeypatch.setattr(loop_mod, "_scan_workers", lambda: workers)
+    lock, full = threading.Lock(), threading.Event()
+    in_flight, most, seen = [0], [0], set()
+
+    def block(s, e):
+        with lock:
+            in_flight[0] += 1
+            most[0] = max(most[0], in_flight[0])
+            seen.add(threading.get_ident())
+            if in_flight[0] == threads:
+                full.set()
+        full.wait(timeout=2.0)
+        time.sleep(0.005)
+        with lock:
+            in_flight[0] -= 1
+
+    loop_mod._scan(4 * blocks, block, loop_mod._scan_workers())
+    assert 1 < loop_mod.SCAN_MAX_WORKERS < 16
+    assert most[0] == len(seen) == threads
 
 
 @pytest.mark.parametrize("scan_rows", [1, 2, 7, 1024])
