@@ -1,11 +1,14 @@
 """Golden trace: the loop's observable behaviour, pinned across commits.
 
 Every strategy, every ablation flag, both endpoints of `gamma`, both stages
-off at once and `cold_start` run on three small datasets: one in id order,
-a subset with shuffled rows and non-contiguous ids, so that row order
-differs from id order, and one with 16 features, the benchmark's width,
+off at once and `cold_start` run on four datasets: one in id order, a
+subset with shuffled rows and non-contiguous ids, so that row order
+differs from id order, one with 16 features, the benchmark's width,
 where numpy's pairwise sum of a row's squares runs its 8 accumulators
-rather than the plain order it takes below 8 features. Each run's
+rather than the plain order it takes below 8 features, and one of 1,140
+rows and 64 features, whose pool of more than 1,100 unlabeled rows spans
+two scan blocks and two sup-norm chunks of the coarse draw, so that the
+order of the draws across blocks is pinned too. Each run's
 fingerprint is its initial labeled ids, per cycle the selected ids and the
 exact `repr` of `accuracy` and `mean_in_total`, and the exact `repr` of the
 final model's summed absolute weights. It is compared with the committed
@@ -16,7 +19,8 @@ alters behaviour on purpose (RNG consumption, a formula) regenerates it with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-and says so.
+and says so. The write reports, for each run, whether its fingerprint moved
+and which fields did.
 """
 
 import dataclasses
@@ -56,7 +60,9 @@ def datasets():
     # shuffled rows, and dropping a quarter leaves gaps in the ids
     rows = np.random.default_rng(5).permutation(len(ordered))[: 3 * len(ordered) // 4]
     wide = synthetic_dataset(3, 2, 30, noise=0.08, seed=21, dim=16)
-    return {"ordered": ordered, "shuffled": ordered.subset(rows), "wide": wide}
+    large = synthetic_dataset(3, 2, 380, noise=0.08, seed=21, dim=64)
+    return {"ordered": ordered, "shuffled": ordered.subset(rows), "wide": wide,
+            "large": large}
 
 
 def fingerprint(variant, dataset):
@@ -106,17 +112,43 @@ def test_fixture_covers_every_knob():
     assert {0.0, 1.0} <= gammas
 
 
-@pytest.mark.parametrize("dataset", ["ordered", "shuffled", "wide"])
+@pytest.mark.parametrize("dataset", ["ordered", "shuffled", "wide", "large"])
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_trace_matches_golden(current, golden, dataset, variant):
     key = f"{dataset}/{variant}"
     assert current[key] == golden[key]
 
 
+def moved_fields(old, new):
+    """The fields in which two fingerprints of one run differ."""
+    moved = [f for f in ("initial_ids", "weight_sum") if old[f] != new[f]]
+    if len(old["cycles"]) != len(new["cycles"]):
+        moved.append("cycle count")
+    for t, (a, b) in enumerate(zip(old["cycles"], new["cycles"])):
+        moved += [f"cycle {t} {f}" for f in ("selected_ids", "accuracy", "mean_in_total")
+                  if a[f] != b[f]]
+    return moved
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    old = json.loads(FIXTURE.read_text(encoding="utf-8")) if FIXTURE.exists() else {}
     runs = sorted(trace().items())
+    changed = 0
+    for key, new in runs:
+        if key not in old:
+            print(f"{key}: new")
+        elif moved := moved_fields(old[key], new):
+            changed += 1
+            print(f"{key}: changed: {', '.join(moved)}")
+        else:
+            print(f"{key}: unchanged")
+    for key in sorted(set(old) - dict(runs).keys()):
+        print(f"{key}: removed")
+    kept = sum(key in old for key, _ in runs)
+    print(f"{changed} of {kept} changed, {kept - changed} unchanged, "
+          f"{len(runs) - kept} new, {len(set(old) - dict(runs).keys())} removed")
     FIXTURE.write_text("{\n" + ",\n".join(
         f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}" for k, v in runs) + "\n}\n",
         encoding="utf-8")
