@@ -7,6 +7,7 @@ strategies (random / entropy / coreset) share the training phase and swap
 only the selection rule, so paired comparisons isolate the selector.
 """
 
+import copy
 import os
 import threading
 import time
@@ -52,11 +53,11 @@ def _scan_workers():
         return os.cpu_count() or 1
 
 
-def _scan(n, block, workers=1, prepare=lambda s, e: ()):
+def _scan(n, block, workers=1, prepare=lambda s, e: (), size=None):
     """Run `block(s, e, *prepare(s, e))` for every block of
-    `_row_blocks(n, SCAN_ROWS)` on up to `workers` threads, never more than
-    SCAN_MAX_WORKERS nor more than one per two blocks, this one among them,
-    each taking the next block when it is free.
+    `_row_blocks(n, size or SCAN_ROWS)` on up to `workers` threads, never
+    more than SCAN_MAX_WORKERS nor more than one per two blocks, this one
+    among them, each taking the next block when it is free.
 
     With fewer than two blocks a worker a thread gains little (the tail
     block can be nearly twice a block) and its malloc arena keeps its own
@@ -72,7 +73,7 @@ def _scan(n, block, workers=1, prepare=lambda s, e: ()):
     worker did not speed up a 20k-row entropy pass and slowed a 2k-row test
     evaluation from 2.2 to 3.0 ms.
     """
-    blocks = _row_blocks(n, SCAN_ROWS)
+    blocks = _row_blocks(n, size or SCAN_ROWS)
     todo, lock, failed = iter(blocks), threading.Lock(), threading.Event()
 
     def work():
@@ -384,35 +385,69 @@ class ActiveLearningLoop:
         """Fresh-draw inconsistency + entropy scoring of every unlabeled
         sample, as `selector.Scores` in ascending id order.
 
-        The coarse variants are drawn once for the whole pool (their draws
-        are grouped by transform across rows) and the percentile fusion needs
-        the whole pool; everything in between runs on `_scan`'s blocks. Each
-        block's VAT normals are drawn as it is taken, in row order, the same
-        stream as one whole-pool draw, so no score depends on the worker
-        count. A block traces its rows, their coarse variants and their VAT
-        probe rows in one pass, each part in its own product (see
-        `Classifier._trace`), as the SSL step does; the VAT perturbations
-        are then added to the variants in place, and those are predicted.
-        `gamma` weighs the two granularities, and an endpoint skips the one
-        it gives no weight: the coarse inconsistency at `gamma = 0`, the VAT
-        normals, probe rows and fine step at `gamma = 1`.
+        The percentile fusion needs the whole pool; everything before it
+        runs on `_scan`'s blocks, and no array of every row's coarse
+        variants is made. The stream is drawn as `coarse_augment_batch` on
+        the whole pool would draw it, then the VAT normals in row order:
+
+        - the integer draws of every variant (`augment.coarse_draws`);
+        - a gap pass, `_scan`'s chunks of about `augment.GAP_VALUES`
+          values, each drawing its jitter rows' uniforms in row order as it
+          is taken, building its variants and keeping only their sup-norm
+          gaps, which name the rows that get the fallback jitter;
+        - the fallback jitter, drawn at once and kept;
+        - the scan: each block, as it is taken, replays its jitter uniforms
+          from a copy of the stream made before the gap pass and draws its
+          VAT normals, so no score depends on the worker count or the
+          block size.
+
+        A block builds its rows, their coarse variants and their VAT probe
+        rows in one buffer and traces it in one pass, each part in its own
+        product (see `Classifier._trace`), as the SSL step does; the VAT
+        perturbations are then added to the variants in place, and those
+        are predicted. `gamma` weighs the two granularities, and an
+        endpoint skips the one it gives no weight: the coarse inconsistency
+        at `gamma = 0`, the VAT normals, probe rows and fine step at
+        `gamma = 1`.
         """
         cfg, model = self.config, self.model
         unlabeled = self.pool.labels < 0
         ids = self.pool.ids[unlabeled]
         X = self.pool.features[unlabeled]
         n, k, d = len(ids), cfg.k_aug, X.shape[1]
-        A = augment.coarse_augment_batch(X, k, cfg.delta, rng).reshape(n * k, d)
+        workers = _scan_workers()
+        draws = augment.coarse_draws(n * k, d, rng)
+        replay = copy.deepcopy(rng)  # at the first jitter uniform
+
+        def take(stream, s, e):
+            part = draws.rows(s * k, e * k)
+            return part, stream.uniform(-1.0, 1.0, size=(part.jitter.size, d))
+
+        gap = np.empty(n * k)
+
+        def gap_block(s, e, part, u):
+            augment.coarse_variants(X[s:e], k, cfg.delta, part, u,
+                                    np.empty(((e - s) * k, d)), gap[s * k:e * k])
+
+        _scan(n, gap_block, workers, lambda s, e: take(rng, s, e),
+              size=max(augment.GAP_VALUES // (k * d), 1))
+        fallback = (gap <= cfg.delta).nonzero()[0]
+        del gap
+        extra = augment.coarse_fallback(fallback.size, d, cfg.delta, rng)
+
         in_coa, in_fin, ent = np.zeros(n), np.zeros(n), np.empty(n)
         fine = cfg.gamma < 1
 
-        def score_block(s, e, normals):
+        def score_block(s, e, part, u, normals):
             m = e - s
             cut = m * (k + 1)  # [rows; variants], then the probe rows
             buf = np.empty((cut + m * k if fine else cut, d))
             buf[:m] = X[s:e]
             variants = buf[m:cut]
-            variants[...] = A[s * k:e * k]
+            augment.coarse_variants(X[s:e], k, cfg.delta, part, u, variants)
+            i, j = np.searchsorted(fallback, (s * k, e * k))
+            if i < j:
+                variants[fallback[i:j] - s * k] += extra[i:j]
             if fine:
                 augment.vat_probe_rows(variants, normals, cfg.xi, out=buf[cut:])
             acts = model._trace(buf, (m, cut) if fine else (m,))
@@ -428,10 +463,11 @@ class ActiveLearningLoop:
                 in_fin[s:e] = kl_rows(P_bar, model.predict(variants)).reshape(m, k).sum(axis=1)
             ent[s:e] = selector.entropy_rows(P_orig)
 
-        def draw_normals(s, e):
-            return (rng.normal(size=((e - s) * k, d)) if fine else None,)
+        def prepare(s, e):
+            return (*take(replay, s, e),
+                    rng.normal(size=((e - s) * k, d)) if fine else None)
 
-        _scan(n, score_block, _scan_workers(), draw_normals)
+        _scan(n, score_block, workers, prepare)
 
         in_total = selector.total_inconsistency(
             selector.percentiles(in_coa), selector.percentiles(in_fin), cfg.gamma)

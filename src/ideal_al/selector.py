@@ -54,13 +54,27 @@ def coarse_inconsistency(preds):
 
 
 def percentiles(values):
-    """Strict-smaller percentile of every element within its own population."""
+    """Strict-smaller percentile of every element within its own population.
+
+    One sort ranks the values; each element's count of smaller ones is where
+    its run of equal values starts in the sorted order. `-0.0` equals `0.0`,
+    and every NaN, sorted last, counts the non-NaN values.
+    """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise UsageError("empty population")
-    order = np.sort(values)
-    ranks = np.searchsorted(order, values, side="left")
-    return ranks / values.size
+    n = values.size
+    order = np.argsort(values)
+    ranked = values[order]
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    np.greater(ranked[1:], ranked[:-1], out=starts[1:])
+    if np.isnan(ranked[-1]):
+        starts[np.searchsorted(ranked, np.nan)] = True
+    first = starts.nonzero()[0]
+    ranks = np.empty(n, dtype=np.intp)
+    ranks[order] = np.repeat(first, np.diff(first, append=n))
+    return ranks / n
 
 
 def total_inconsistency(phi_coa, phi_fin, gamma):

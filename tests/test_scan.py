@@ -167,6 +167,43 @@ def test_fused_blocks_match_four_pass_reference_at_benchmark_width(
         assert masks and all(mask.all() for mask in masks)
 
 
+@pytest.mark.parametrize("delta", [0.05, 1.0])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_gap_pass_over_several_chunks_matches_whole_pool_bit_for_bit(
+        workers, delta, monkeypatch):
+    # chunks of 3 rows for the gap pass and blocks of 7 for the scan, so the
+    # jitter uniforms are drawn in 12 chunks and replayed in 5 blocks; at
+    # delta 1.0 most rolled and flipped variants of these [0, 1] rows stay
+    # within delta and take the fallback jitter, which the blocks add back
+    lp = trained_loop(delta=delta)
+    k, d = lp.config.k_aug, lp.dataset.dim
+    monkeypatch.setattr(augment, "GAP_VALUES", 3 * k * d)
+    monkeypatch.setattr(loop_mod, "SCAN_ROWS", 7)
+    monkeypatch.setattr(loop_mod, "_scan_workers", lambda: workers)
+    chunks, fallback = [], []
+    variants, extra = augment.coarse_variants, augment.coarse_fallback
+
+    def counted_variants(X, *rest):
+        if len(rest) == 6:  # given a gap array: a gap-pass chunk
+            chunks.append(len(X))
+        return variants(X, *rest)
+
+    def counted_fallback(m, *rest):
+        fallback.append(m)
+        return extra(m, *rest)
+
+    monkeypatch.setattr(augment, "coarse_variants", counted_variants)
+    monkeypatch.setattr(augment, "coarse_fallback", counted_fallback)
+    blocked, whole, rng_blocked, rng_whole = both_scans(lp)
+    assert chunks == [3] * 12 + [36]  # then the oracle's whole-pool call
+    assert (fallback[0] > 20) == (delta == 1.0)
+    for field in ("ids", "in_total", "entropy", "reps"):
+        assert np.array_equal(getattr(blocked, field), getattr(whole, field)), field
+    m, b = lp.config.m_cand, lp.config.budget
+    assert select(blocked, m, b) == select(whole, m, b)
+    assert rng_blocked.bit_generator.state == rng_whole.bit_generator.state
+
+
 @pytest.mark.parametrize("workers, blocks, threads", [
     (3, 1, 1),
     (3, 3, 1),
@@ -381,3 +418,24 @@ def test_scan_peak_memory_at_40k_rows(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 45 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_scan_peak_memory_within_a_small_multiple_of_the_features(monkeypatch):
+    # 20k x 128: drawing every row's coarse variants before the walk held an
+    # (n * k_aug, 128) array and its transforms' temporaries, 5.0x the
+    # features. Built per block, the pass holds the unlabeled feature rows,
+    # O(n * k_aug) draws and gaps, one gap chunk and two workers' blocks.
+    monkeypatch.setattr(loop_mod, "_scan_workers", lambda: 2)
+    rng = np.random.default_rng(3)
+    X = rng.uniform(0, 1, (20_000, 128))
+    y = (X[:, :64].sum(axis=1) > X[:, 64:].sum(axis=1)).astype(int)
+    ds = Dataset.from_raw(np.arange(len(X)), X, y, 2)
+    lp = ActiveLearningLoop(LoopConfig(budget=20, m_cand=100, seed=3), ds)
+    tracemalloc.start()
+    try:
+        lp._score_pool(np.random.default_rng(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ratio = peak / lp.pool.features.nbytes
+    assert ratio <= 2.5, f"peak {peak / 2**20:.1f} MiB, {ratio:.2f}x the features"

@@ -19,7 +19,13 @@ from ideal_al.selector import (
     top_k,
     total_inconsistency,
 )
-from oracles import density_factors_reference, entropy, kl, percentile
+from oracles import (
+    density_factors_reference,
+    entropy,
+    kl,
+    percentile,
+    percentiles_reference,
+)
 
 
 class TestCoarseInconsistency:
@@ -117,6 +123,27 @@ class TestPercentile:
         assert np.all(phi >= 0) and np.all(phi <= (n - 1) / n)
         order = np.argsort(values)
         assert np.all(np.diff(phi[order]) >= 0)
+
+    # ties, signed zeros, infinities and NaNs, which all rank at the count of
+    # non-NaN values
+    SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan]
+
+    @given(values=st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()),
+                           min_size=1, max_size=40))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_sort_and_searchsorted_reference(self, values):
+        got, want = percentiles(values), percentiles_reference(values)
+        assert np.array_equal(got, want), (values, got, want)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5000),
+           distinct=st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_on_large_tied_arrays(self, seed, n, distinct):
+        # long runs of equal values, as an all-zero inconsistency array has
+        rng = np.random.default_rng(seed)
+        values = rng.choice(np.array(self.SPECIAL[:distinct]), size=n)
+        values[rng.random(n) < 0.2] = rng.normal()
+        assert np.array_equal(percentiles(values), percentiles_reference(values))
 
 
 class TestTotalInconsistency:
