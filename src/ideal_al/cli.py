@@ -14,15 +14,18 @@ from .data import generate_synthetic, load_dataset, write_dataset, write_reports
 from .errors import NOT_UTF8, ConfigError, DataError, NumericError, UsageError
 from .loop import ActiveLearningLoop
 
-ABLATION_VARIANTS = [
-    ("full", {}),
-    ("no_density", {"disable_density": True}),
-    ("no_reranker", {"disable_reranker": True}),
-    ("no_coarse", {"gamma": 0.0}),
-    ("no_fine", {"gamma": 1.0}),
-    ("no_ranker", {"disable_ranker": True}),
-    ("random", {"strategy": "random"}),
-]
+
+def ablation_variants(budget):
+    """`ideal ablate`'s (name, overrides) pairs for a base `budget`."""
+    return [
+        ("full", {}),
+        ("no_density", {"disable_density": True}),
+        ("no_reranker", {"m_cand": budget}),  # the re-ranker has nothing to choose
+        ("no_coarse", {"gamma": 0.0}),
+        ("no_fine", {"gamma": 1.0}),
+        ("no_ranker", {"disable_ranker": True}),
+        ("random", {"strategy": "random"}),
+    ]
 
 
 def _load_run_inputs(config):
@@ -67,7 +70,7 @@ def _cmd_synth(args):
 def _cmd_ablate(args):
     base = load_config(args.config)
     dataset, test_data = _load_run_inputs(base)
-    for name, overrides in ABLATION_VARIANTS:
+    for name, overrides in ablation_variants(base.budget):
         config = dataclasses.replace(base, **overrides)
         loop = ActiveLearningLoop(config, dataset, test_data=test_data)
         reports = loop.run()

@@ -3,7 +3,8 @@
 The config file format is flat `key = value` text, one key per line,
 `#` comments allowed. Unknown keys are hard errors. Each value is parsed
 as the type its `LoopConfig` field is annotated with; tuple-valued keys
-(weights, hidden_sizes) use comma separation.
+(weights, hidden_sizes) use comma separation. `none` is a value only of
+the keys whose default is None (dataset, test_dataset, m_cand, weights).
 """
 
 import dataclasses
@@ -33,7 +34,6 @@ class LoopConfig:
     seed: int = 0
     strategy: str = "ideal"
     disable_ranker: bool = False
-    disable_reranker: bool = False
     disable_density: bool = False
     train_steps_per_cycle: int = 300
     lambda_u: float = 1.0
@@ -91,6 +91,8 @@ def _parse_value(key, raw):
     """`raw` as the type `LoopConfig` annotates `key` with."""
     raw = raw.strip()
     if raw.lower() == "none":
+        if _FIELDS[key].default is not None:
+            raise ConfigError(key, "has no none value")
         return None
     kind = _FIELDS[key].type
     if kind is str:

@@ -218,37 +218,32 @@ class CycleReport:
     seed: int
 
 
-def baseline_select(strategy, scores, budget, rng, min_dist=None):
-    """Comparator selection rules over the pool's `selector.Scores`.
+def baseline_select(strategy, ids, budget, rng, reps_t=None, min_dist=None):
+    """Comparator selection rules that read no prediction: `budget` of `ids`.
 
-    random: uniform without replacement; entropy: top-budget by prediction
-    entropy; coreset: greedy k-center on the feature rows. For coreset,
-    `min_dist` holds each row's distance to its nearest labeled row (None:
-    nothing labeled yet); the greedy folds every pick into it in place and
-    marks it -inf, so it returns holding the distances to the labeled rows
-    and the picks. The greedy walks a feature-major copy of the rows (see
-    `_fold`).
+    random: uniform without replacement. coreset: greedy k-center over the
+    columns of the feature-major (d, len(ids)) `reps_t` (see `_fold`).
+    `min_dist` holds each column's distance to its nearest labeled row and
+    -inf at a labeled row, which is never picked; the greedy folds every
+    pick into it in place and marks it -inf, so it returns holding the
+    distances to the labeled rows and the picks.
     """
-    if budget > len(scores):
+    if strategy not in ("random", "coreset"):
+        raise ConfigError("strategy", f"unknown strategy {strategy!r}")
+    left = len(ids) if strategy == "random" else np.count_nonzero(min_dist > -np.inf)
+    if budget > left:
         raise UsageError("budget exceeds pool size")
     if strategy == "random":
-        idx = rng.choice(len(scores), size=budget, replace=False)
-        return scores.ids[np.sort(idx)].tolist()
-    if strategy == "entropy":
-        return scores.ids[selector.top_k(scores.entropy, scores.ids, budget)].tolist()
-    if strategy == "coreset":
-        reps_t = np.ascontiguousarray(scores.reps.T)
-        if min_dist is None:
-            min_dist = np.full(len(scores), np.inf)
-        buf = np.empty((len(reps_t), FOLD_COLS))
-        chosen = []
-        for _ in range(budget):
-            i = int(np.argmax(min_dist))  # argmax takes the lowest index on ties
-            chosen.append(i)
-            _fold(reps_t, reps_t[:, i], min_dist, buf)
-            min_dist[i] = -np.inf  # never picked twice, even among duplicates
-        return scores.ids[chosen].tolist()
-    raise ConfigError("strategy", f"unknown strategy {strategy!r}")
+        idx = rng.choice(len(ids), size=budget, replace=False)
+        return ids[np.sort(idx)].tolist()
+    buf = np.empty((len(reps_t), FOLD_COLS))
+    chosen = []
+    for _ in range(budget):
+        i = int(np.argmax(min_dist))  # argmax takes the lowest index, so id, on ties
+        chosen.append(i)
+        _fold(reps_t, reps_t[:, i], min_dist, buf)
+        min_dist[i] = -np.inf  # never picked twice, even among duplicates
+    return ids[chosen].tolist()
 
 
 class ActiveLearningLoop:
@@ -475,8 +470,8 @@ class ActiveLearningLoop:
 
     def _entropy_records(self):
         """Entropy scores (one blocked forward pass, zero inconsistency) and
-        feature rows for the entropy baseline and the ranker-free ablation,
-        the two rules without the ranker that read a prediction."""
+        feature rows for the rules that read a prediction without the
+        ranker: `entropy` and `ideal` with `disable_ranker`."""
         unlabeled = self.pool.labels < 0
         X = self.pool.features[unlabeled]
         ent = np.empty(len(X))
@@ -488,17 +483,17 @@ class ActiveLearningLoop:
         return selector.Scores(ids=self.pool.ids[unlabeled], in_total=np.zeros(len(X)),
                                entropy=ent, reps=X)
 
-    def _labeled_distances(self):
+    def _labeled_distances(self, features_t):
         """Each pool row's distance to its nearest labeled row, carried
         across cycles, -inf at a labeled row already folded in. Labeled rows
         not yet in it, the seed rows at the first call and rows labeled
-        outside coreset since, are folded in here."""
+        outside coreset since, are folded in here from `features_t`, the
+        pool's feature-major rows."""
         pool = self.pool
         if self._min_dist is None:
             self._min_dist = np.full(len(pool.ids), np.inf)
         new = np.flatnonzero((pool.labels >= 0) & (self._min_dist > -np.inf))
         if len(new):
-            features_t = np.ascontiguousarray(pool.features.T)
             buf = np.empty((len(features_t), FOLD_COLS))
             for r in new:
                 _fold(features_t, features_t[:, r], self._min_dist, buf)
@@ -506,39 +501,30 @@ class ActiveLearningLoop:
         return self._min_dist
 
     def _select_phase(self, rngs):
-        cfg = self.config
-        use_density = not cfg.disable_density
-        if cfg.strategy == "ideal" and not cfg.disable_ranker:
-            scores = self._score_pool(rngs["score"])
-            if cfg.disable_reranker:
-                top = selector.top_k(scores.in_total, scores.ids, cfg.budget)
-                return scores.ids[top].tolist(), scores
-            m = cfg.resolved_m_cand(len(scores))
-            return selector.select(scores, m, cfg.budget, use_density=use_density), scores
-        if cfg.strategy == "ideal" and not cfg.disable_reranker:
-            # no ranker: every unlabeled sample is a re-ranking candidate
-            scores = self._entropy_records()
-            return selector.select(scores, len(scores), cfg.budget,
-                                   use_density=use_density), scores
-        if cfg.strategy == "entropy":
-            scores = self._entropy_records()
-            return baseline_select("entropy", scores, cfg.budget, rngs["select"]), scores
-        # with both stages off, ideal collapses to the random baseline on the
-        # same stream. Random and coreset read only ids and feature rows, so
-        # no forward pass is made for them.
-        strategy = "random" if cfg.strategy == "ideal" else cfg.strategy
-        unlabeled = self.pool.labels < 0
-        zeros = np.zeros(np.count_nonzero(unlabeled))
-        scores = selector.Scores(ids=self.pool.ids[unlabeled], in_total=zeros,
-                                 entropy=zeros, reps=self.pool.features[unlabeled])
-        if strategy != "coreset":
-            return baseline_select(strategy, scores, cfg.budget, rngs["select"]), scores
-        min_dist = self._labeled_distances()[unlabeled]
-        selected = baseline_select(strategy, scores, cfg.budget, rngs["select"],
-                                   min_dist=min_dist)
-        # the greedy folded its picks in: carry that back
-        self._min_dist[unlabeled] = min_dist
-        return selected, scores
+        """The cycle's picks, and the ranker's `selector.Scores` (None when
+        `_score_pool` did not run).
+
+        random and coreset read only ids and feature rows, so no forward
+        pass is made for them. Coreset's greedy folds over the whole pool,
+        feature-major, copied once a cycle; the carried distances are -inf
+        at every labeled row, so only unlabeled rows are picked. Every other
+        rule is `selector.select`: `ideal` ranks by `_score_pool`, and
+        without its ranker, as for `entropy`, every unlabeled row is a
+        candidate; `entropy` gives density no weight.
+        """
+        cfg, pool, rng = self.config, self.pool, rngs["select"]
+        if cfg.strategy == "random":
+            return baseline_select("random", pool.unlabeled, cfg.budget, rng), None
+        if cfg.strategy == "coreset":
+            features_t = np.ascontiguousarray(pool.features.T)
+            return baseline_select("coreset", pool.ids, cfg.budget, rng, features_t,
+                                   self._labeled_distances(features_t)), None
+        ranked = cfg.strategy == "ideal" and not cfg.disable_ranker
+        scores = self._score_pool(rngs["score"]) if ranked else self._entropy_records()
+        m = cfg.resolved_m_cand(len(scores)) if ranked else len(scores)
+        use_density = cfg.strategy == "ideal" and not cfg.disable_density
+        selected = selector.select(scores, m, cfg.budget, use_density=use_density)
+        return selected, scores if ranked else None
 
     # -- evaluation ----------------------------------------------------
 
@@ -559,16 +545,15 @@ class ActiveLearningLoop:
         rngs = self._cycle_rngs(t)
         self._train_phase(rngs["train"])
         t0 = time.perf_counter()
-        selected, scores = self._select_phase(rngs)
+        selected, ranked = self._select_phase(rngs)
         select_ms = (time.perf_counter() - t0) * 1000.0
         self.pool.annotate(selected, self.oracle)
         self.pool.check()
-        has_rank = cfg.strategy == "ideal" and not cfg.disable_ranker
         report = CycleReport(
             cycle=t,
             n_labeled=self.pool.n_labeled,
             accuracy=self.accuracy(),
-            mean_in_total=float(np.mean(scores.in_total)) if has_rank else None,
+            mean_in_total=None if ranked is None else float(np.mean(ranked.in_total)),
             select_ms=select_ms,
             selected_ids=list(selected),
             strategy=cfg.strategy,

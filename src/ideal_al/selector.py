@@ -117,13 +117,18 @@ def select(scores, m_cand, budget, use_density=True):
     by density-aware entropy computed over exactly that candidate set.
 
     Ties break by ascending sample id at both stages. Returns the selected
-    ids in rank order.
+    ids in rank order. At `m_cand` equal to the pool size `in_total` cuts
+    nothing; at `m_cand == budget` below it the re-ranker has nothing to
+    choose, and the candidates return in their `in_total` rank order with
+    no density pass.
     """
     if budget > m_cand:
         raise UsageError(f"budget {budget} exceeds candidate size {m_cand}")
     if m_cand > len(scores):
         raise UsageError(f"m_cand {m_cand} exceeds pool size {len(scores)}")
     cand = top_k(scores.in_total, scores.ids, m_cand)
+    if budget == m_cand < len(scores):
+        return scores.ids[cand].tolist()
     if m_cand == len(scores) and np.array_equal(cand, np.arange(m_cand)):
         cand = slice(None)  # the whole pool in id order: read its rows in place
     ids = scores.ids[cand]

@@ -285,8 +285,8 @@ def benchmark_results():
         out = []
         for s in BENCH_SEEDS:
             pool, test = datasets[s]
-            cfg = LoopConfig(seed=s, strategy=strategy, **BENCH_SETTINGS,
-                             **overrides)
+            cfg = LoopConfig(seed=s, strategy=strategy,
+                             **{**BENCH_SETTINGS, **overrides})
             out.append(run(cfg, pool, test_data=test)[-1].accuracy)
         return np.array(out)
 
@@ -295,7 +295,7 @@ def benchmark_results():
             ("random", "random", {}),
             ("entropy", "entropy", {}),
             ("ideal", "ideal", {}),
-            ("no_reranker", "ideal", {"disable_reranker": True}),
+            ("no_reranker", "ideal", {"m_cand": BENCH_SETTINGS["budget"]}),
             ("no_ranker", "ideal", {"disable_ranker": True})):
         t0 = time.perf_counter()
         results[name] = final_accuracies(strategy, **overrides)

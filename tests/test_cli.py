@@ -8,7 +8,7 @@ import pytest
 
 import ideal_al
 from ideal_al.cli import main
-from ideal_al.config import LoopConfig, save_config
+from ideal_al.config import LoopConfig, load_config, save_config
 
 
 def make_dataset(tmp_path, name="train.csv", seed=0, per_class=40):
@@ -123,6 +123,15 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "epsilon" in capsys.readouterr().err
 
+    # an int once crashed in validate (exit 1); a boolean was read as false
+    @pytest.mark.parametrize("key", ["budget", "cold_start"])
+    def test_none_for_a_key_without_a_none_default_exits_2(self, key, tmp_path, capsys):
+        cfg = make_config(tmp_path, make_dataset(tmp_path))
+        cfg.write_text(cfg.read_text() + f"{key} = none\n")
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         cfg = make_config(tmp_path, make_dataset(tmp_path))
         capsys.readouterr()
@@ -225,6 +234,9 @@ class TestAblateAndReport:
         names = sorted(os.listdir(out))
         assert names == sorted(["full", "no_density", "no_reranker", "no_coarse",
                                 "no_fine", "no_ranker", "random"])
+        # the re-ranker is taken away by giving it exactly the batch to choose from
+        snapshot = load_config(out / "no_reranker" / "config.snapshot")
+        assert snapshot.m_cand == snapshot.budget == 5
         capsys.readouterr()
         rc = main(["report", "--in", str(out)])
         assert rc == 0

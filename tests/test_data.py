@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -298,16 +299,27 @@ class TestConfigParsing:
         parsed = parse_config(format_config(config))
         assert (parsed.weights, parsed.hidden_sizes) == ((1.0, 0.5, 0.25), (8, 4))
 
-    # tap_layer, disable_coarse and disable_fine are removed keys: a stale
-    # config or config.snapshot that still names one must fail by name
+    # tap_layer, disable_coarse, disable_fine and disable_reranker are removed
+    # keys: a stale config or config.snapshot that still names one must fail
+    # by name
     @pytest.mark.parametrize("line", ["learning_rte = 0.1", "tap_layer = 0",
                                       "tap_layer = 1", "disable_coarse = true",
-                                      "disable_fine = false"],
+                                      "disable_fine = false", "disable_reranker = true"],
                              ids=["learning_rte", "tap_layer_0", "tap_layer_1",
-                                  "disable_coarse", "disable_fine"])
+                                  "disable_coarse", "disable_fine", "disable_reranker"])
     def test_unknown_key_rejected(self, line):
         with pytest.raises(ConfigError, match=f"'{line.split()[0]}'.*unknown"):
             parse_config(f"budget = 5\n{line}\n")
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(LoopConfig)])
+    def test_none_only_where_the_default_is_none(self, field):
+        # `none` restores a None default; any other key names itself
+        text = f"{field} = none\n"
+        if getattr(LoopConfig(), field) is None:
+            assert getattr(parse_config(text), field) is None
+        else:
+            with pytest.raises(ConfigError, match=f"'{field}'"):
+                parse_config(text)
 
     def test_comments_and_blanks(self):
         config = parse_config("# comment\n\nbudget = 9  # inline\n")

@@ -1,7 +1,7 @@
 """Golden trace: the loop's observable behaviour, pinned across commits.
 
-Every strategy, every ablation flag, both endpoints of `gamma`, both stages
-off at once and `cold_start` run on four datasets: one in id order, a
+Every strategy, every ablation flag, both endpoints of `gamma`, the
+`m_cand == budget` endpoint and `cold_start` run on four datasets: one in id order, a
 subset with shuffled rows and non-contiguous ids, so that row order
 differs from id order, one with 16 features, the benchmark's width,
 where numpy's pairwise sum of a row's squares runs its 8 accumulators
@@ -46,11 +46,10 @@ VARIANTS = {
     "entropy": {"strategy": "entropy"},
     "coreset": {"strategy": "coreset"},
     "no_ranker": {"disable_ranker": True},
-    "no_reranker": {"disable_reranker": True},
+    "no_reranker": {"m_cand": BASE["budget"]},
     "no_coarse": {"gamma": 0.0},
     "no_fine": {"gamma": 1.0},
     "no_density": {"disable_density": True},
-    "no_ranker_no_reranker": {"disable_ranker": True, "disable_reranker": True},
     "cold_start": {"cold_start": True},
 }
 
@@ -103,13 +102,14 @@ def test_fixture_covers_every_run(current, golden):
 
 
 def test_fixture_covers_every_knob():
-    # a new flag, or a branch on an endpoint gamma, is pinned only once a
-    # variant runs it
+    # a new flag, or a branch on an endpoint gamma or m_cand, is pinned only
+    # once a variant runs it
     flags = {f.name for f in dataclasses.fields(LoopConfig) if f.type is bool}
     assert flags <= {key for v in VARIANTS.values() for key, value in v.items()
                      if value is True}
     gammas = {v["gamma"] for v in VARIANTS.values() if "gamma" in v}
     assert {0.0, 1.0} <= gammas
+    assert {"m_cand": BASE["budget"]} in VARIANTS.values()
 
 
 @pytest.mark.parametrize("dataset", ["ordered", "shuffled", "wide", "large"])

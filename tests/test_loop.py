@@ -50,38 +50,49 @@ class TestOracle:
 
 
 class TestBaselineSelect:
-    def _records(self, entropies, reps=None):
-        n = len(entropies)
-        reps = reps if reps is not None else [[float(i)] for i in range(n)]
-        return Scores(ids=np.arange(n), in_total=np.zeros(n),
-                      entropy=np.asarray(entropies, dtype=float),
-                      reps=np.asarray(reps, dtype=float))
-
     def test_entropy_picks_uniform_sample(self):
-        records = self._records([0.0, 0.0, np.log(2), 0.0])
-        assert baseline_select("entropy", records, 1,
-                               np.random.default_rng(0)) == [2]
+        # the entropy baseline is the whole-pool select with no density weight
+        scores = Scores(ids=np.arange(4), in_total=np.zeros(4),
+                        entropy=np.array([0.0, 0.0, np.log(2), 0.0]),
+                        reps=np.arange(4.0)[:, None])
+        assert select(scores, 4, 1, use_density=False) == [2]
 
     def test_coreset_farthest_point(self):
-        # distances to the one labeled row, at 0.0
-        records = self._records([0.1] * 3, reps=[[0.0], [1.0], [10.0]])
-        min_dist = np.array([0.0, 1.0, 10.0])
-        got = baseline_select("coreset", records, 1, np.random.default_rng(0),
-                              min_dist=min_dist)
+        # distances to the one labeled row, at 0.0, which is -inf
+        reps_t = np.array([[0.0, 1.0, 10.0, 0.0]])
+        min_dist = np.array([1.0, 1.0, 10.0, -np.inf])
+        got = baseline_select("coreset", np.arange(4), 1, np.random.default_rng(0),
+                              reps_t, min_dist)
         assert got == [2]
-        assert min_dist.tolist() == [0.0, 1.0, -np.inf]  # the pick folded in
+        assert min_dist.tolist() == [1.0, 1.0, -np.inf, -np.inf]  # the pick folded in
+
+    def test_coreset_never_picks_a_labeled_row(self):
+        # every row at one point, so all distances tie at 0: the greedy takes
+        # the lowest ids that are not labeled (-inf)
+        min_dist = np.array([-np.inf, 0.0, -np.inf, 0.0, 0.0])
+        got = baseline_select("coreset", np.arange(10, 15), 3, np.random.default_rng(0),
+                              np.zeros((2, 5)), min_dist)
+        assert got == [11, 13, 14]
+        assert (min_dist == -np.inf).all()
+        with pytest.raises(UsageError):
+            baseline_select("coreset", np.arange(2), 2, np.random.default_rng(0),
+                            np.zeros((1, 2)), np.array([-np.inf, 0.0]))
 
     def test_random_reproducible(self):
-        records = self._records([0.5] * 10)
-        a = baseline_select("random", records, 4, np.random.default_rng(3))
-        b = baseline_select("random", records, 4, np.random.default_rng(3))
+        ids = np.arange(10)
+        a = baseline_select("random", ids, 4, np.random.default_rng(3))
+        b = baseline_select("random", ids, 4, np.random.default_rng(3))
         assert a == b
         assert len(set(a)) == 4
 
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError):
-            baseline_select("egl", self._records([0.5]), 1,
-                            np.random.default_rng(0))
+            baseline_select("egl", np.arange(1), 1, np.random.default_rng(0))
+
+    def test_entropy_is_not_a_baseline_rule(self):
+        # entropy reads a prediction: it is `select`, tested above
+        with pytest.raises(ConfigError):
+            baseline_select("entropy", np.arange(4), 1, np.random.default_rng(0))
 
 
 class TestPoolBookkeeping:
@@ -305,9 +316,9 @@ class TestSelectPhase:
     @pytest.mark.parametrize("overrides, passes", [
         ({"strategy": "random"}, 0),
         ({"strategy": "coreset"}, 0),
-        ({"disable_ranker": True, "disable_reranker": True}, 0),
         ({"strategy": "entropy"}, 1),
         ({"disable_ranker": True}, 1),
+        ({"disable_ranker": True, "disable_density": True}, 1),
     ])
     def test_forward_passes_without_the_ranker(self, overrides, passes, monkeypatch):
         # random and coreset read only ids and feature rows; entropy and the
@@ -400,22 +411,51 @@ class TestDeterminism:
 
 
 class TestAblations:
-    def test_full_ablation_collapses_to_random(self):
+    def test_ranker_and_density_off_is_entropy(self):
+        # without the ranker every unlabeled row is a candidate, and without
+        # density the re-ranker ranks by entropy alone: the entropy baseline
         ds = small_dataset()
-        ideal_off = fast_config(disable_ranker=True, disable_reranker=True,
-                                disable_density=True)
-        random_cfg = fast_config(strategy="random")
-        a = run(ideal_off, ds)
-        b = run(random_cfg, ds)
+        a = run(fast_config(disable_ranker=True, disable_density=True, cycles=3), ds)
+        b = run(fast_config(strategy="entropy", cycles=3), ds)
         for ra, rb in zip(a, b):
             assert ra.selected_ids == rb.selected_ids
             assert ra.accuracy == rb.accuracy
 
-    def test_disable_reranker_is_pure_inconsistency(self):
-        ds = small_dataset()
-        loop = ActiveLearningLoop(fast_config(disable_reranker=True), ds)
-        rep = loop.run_cycle(0)
-        assert len(rep.selected_ids) == 5
+    def test_no_reranker_is_pure_inconsistency(self, monkeypatch):
+        # at m_cand = budget the batch is the ranker's top-budget, in rank
+        # order, and no density weight is computed
+        cfg = fast_config(m_cand=5)
+        loop = ActiveLearningLoop(cfg, small_dataset())
+        rngs = loop._cycle_rngs(0)
+        loop._train_phase(rngs["train"])
+        scores = loop._score_pool(copy.deepcopy(rngs["score"]))
+        expected = scores.ids[selector.top_k(scores.in_total, scores.ids, 5)].tolist()
+
+        def no_density(reps):
+            raise AssertionError("density weight computed")
+
+        monkeypatch.setattr(selector, "density_factors", no_density)
+        selected, ranked = loop._select_phase(rngs)
+        assert selected == expected
+        assert np.array_equal(ranked.in_total, scores.in_total)
+
+    @pytest.mark.parametrize("overrides, scored", [
+        ({}, True),
+        ({"m_cand": 5}, True),
+        ({"disable_density": True}, True),
+        ({"disable_ranker": True}, False),
+        ({"strategy": "entropy"}, False),
+        ({"strategy": "random"}, False),
+        ({"strategy": "coreset"}, False),
+    ])
+    def test_mean_in_total_only_when_the_ranker_scored(self, overrides, scored,
+                                                       monkeypatch):
+        calls, score_pool = [], ActiveLearningLoop._score_pool
+        monkeypatch.setattr(ActiveLearningLoop, "_score_pool",
+                            lambda loop, rng: calls.append(1) or score_pool(loop, rng))
+        rep = ActiveLearningLoop(fast_config(**overrides), small_dataset()).run_cycle(0)
+        assert len(calls) == scored
+        assert (rep.mean_in_total is not None) == scored
 
     def test_disable_ranker_reranks_whole_pool(self):
         # without the ranker the candidate set is the whole unlabeled pool,
@@ -427,10 +467,10 @@ class TestAblations:
         loop._train_phase(rngs["train"])
         pool_scores = loop._entropy_records()
         expected = select(pool_scores, len(pool_scores), cfg.budget)
-        selected, scores = loop._select_phase(rngs)
+        selected, ranked = loop._select_phase(rngs)
         assert len(pool_scores) == loop.pool.n_unlabeled
         assert selected == expected
-        assert np.array_equal(scores.ids, pool_scores.ids)
+        assert ranked is None
 
         rep = ActiveLearningLoop(cfg, ds).run_cycle(0)
         assert rep.selected_ids == expected
@@ -441,12 +481,9 @@ class TestRandomUniformity:
     def test_chi_square_over_seeds(self):
         # a 20-sample pool, B=2, 1000 seeded selections: the per-id selection
         # counts should be consistent with uniform sampling
-        records = Scores(ids=np.arange(20), in_total=np.zeros(20),
-                         entropy=np.full(20, 0.5),
-                         reps=np.column_stack([np.ones(20), np.arange(20.0)]))
         counts = np.zeros(20)
         for seed in range(1000):
-            picked = baseline_select("random", records, 2,
+            picked = baseline_select("random", np.arange(20), 2,
                                      np.random.default_rng(seed))
             for sid in picked:
                 counts[sid] += 1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ideal_al import selector as selector_mod
 from ideal_al.errors import InputShapeError, UsageError
 from ideal_al.model import kl_rows
 from ideal_al.selector import (
@@ -316,7 +317,28 @@ class TestSelect:
         scores = random_scores(50, 6)
         got = select(scores, 10, 10)
         ranked = sorted(range(50), key=lambda i: (-scores.in_total[i], i))[:10]
-        assert set(got) == set(ranked)
+        assert got == ranked
+
+    @pytest.mark.parametrize("use_density", [True, False])
+    def test_m_equals_budget_skips_the_reranker(self, use_density, monkeypatch):
+        # the candidates are the batch: the top_k(in_total) list, in its
+        # order, with no density pass
+        def no_density(reps):
+            raise AssertionError("density weight computed")
+
+        monkeypatch.setattr(selector_mod, "density_factors", no_density)
+        for seed in range(5):
+            scores = random_scores(60, seed)
+            for b in (1, 7, 59):
+                want = scores.ids[top_k(scores.in_total, scores.ids, b)].tolist()
+                assert select(scores, b, b, use_density=use_density) == want
+
+    def test_budget_equal_to_the_pool_still_reranks(self):
+        # the pool is the batch and no inconsistency cut was made: the
+        # re-ranker orders it
+        for seed in range(5):
+            scores = random_scores(12, seed)
+            assert select(scores, 12, 12) == brute_force_two_stage(scores, 12, 12)
 
     def test_budget_exceeds_m_rejected(self):
         with pytest.raises(UsageError):
