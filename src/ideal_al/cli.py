@@ -170,7 +170,7 @@ def main(argv=None):
     except (ConfigError, UsageError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, FileNotFoundError, LookupError) as exc:
+    except (DataError, OSError, LookupError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

@@ -59,9 +59,9 @@ def _scan(n, block, workers=1, prepare=lambda s, e: (), size=None):
     more than SCAN_MAX_WORKERS nor more than one per two blocks, this one
     among them, each taking the next block when it is free.
 
-    With fewer than two blocks a worker a thread gains little (the tail
-    block can be nearly twice a block) and its malloc arena keeps its own
-    freed block arrays; the README gives the measurements.
+    With fewer than two blocks a worker, a further thread gains little (the
+    tail block can be nearly twice a block) and its malloc arena keeps its
+    own freed block arrays; the README gives the measurements.
 
     A block is taken and prepared under one lock, so `prepare` runs in block
     order and draws it makes from a shared stream do not depend on the
@@ -97,58 +97,22 @@ def _scan(n, block, workers=1, prepare=lambda s, e: (), size=None):
             future.result()
 
 
-def _pairwise_sum(t):
-    """Sum the rows of the 2-D `t` into `t[0]`, in place, and return it.
-
-    Each column is summed in the order numpy's pairwise summation adds that
-    many contiguous values: in turn below 8, with 8 accumulators up to 128,
-    and above that by halving at a multiple of 8. So a column's sum is
-    `np.add.reduce` of it, bit for bit, while each step is one ufunc call
-    over whole rows rather than one call per column.
-    """
-    n = len(t)
-    if n < 8:
-        for i in range(1, n):
-            t[0] += t[i]
-    elif n <= 128:
-        tail = n - n % 8
-        for i in range(8, tail, 8):
-            t[:8] += t[i:i + 8]
-        t[0:8:2] += t[1:8:2]  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        t[0:8:4] += t[2:8:4]
-        t[0] += t[4]
-        for i in range(tail, n):
-            t[0] += t[i]
-    else:
-        half = n // 2 - n // 2 % 8
-        _pairwise_sum(t[:half])
-        t[0] += _pairwise_sum(t[half:])
-    return t[0]
-
-
-# Columns per block of coreset's fold: its (d, FOLD_COLS) scratch stays small
-# while each ufunc call still runs over thousands of values.
-FOLD_COLS = 4096
-
-
-def _fold(reps_t, row, min_dist, buf):
+def _fold(reps_t, row, min_dist):
     """min_dist = min(min_dist, distance from each column of the
-    feature-major (d, n) `reps_t` to the (d,) `row`), in place, through the
-    caller's (d, FOLD_COLS) scratch `buf`.
+    feature-major (d, n) `reps_t` to the (d,) `row`), in place.
 
-    It walks `reps_t` in blocks of FOLD_COLS columns and sums each column's
-    squares in numpy's pairwise order, so every distance equals
-    `np.linalg.norm(reps - row, axis=1)` on the row-major rows bit for bit.
+    It adds each column's squared differences one feature at a time, so a
+    distance equals `np.sqrt(((reps_t - row[:, None]) ** 2).sum(axis=0))`
+    on a C-contiguous `reps_t` of two or more columns bit for bit (numpy
+    sums a single column pairwise), and equal columns get equal distances.
     """
-    col = row[:, None]
-    for s in range(0, reps_t.shape[1], FOLD_COLS):
-        e = min(s + FOLD_COLS, reps_t.shape[1])
-        t = buf[:, :e - s]
-        np.subtract(reps_t[:, s:e], col, out=t)
-        np.square(t, out=t)
-        dist = _pairwise_sum(t)
-        np.sqrt(dist, out=dist)
-        np.minimum(min_dist[s:e], dist, out=min_dist[s:e])
+    dist, diff = np.zeros(reps_t.shape[1]), np.empty(reps_t.shape[1])
+    for feature, value in zip(reps_t, row):
+        np.subtract(feature, value, out=diff)
+        np.square(diff, out=diff)
+        dist += diff
+    np.sqrt(dist, out=dist)
+    np.minimum(min_dist, dist, out=min_dist)
 
 
 class Oracle:
@@ -236,12 +200,11 @@ def baseline_select(strategy, ids, budget, rng, reps_t=None, min_dist=None):
     if strategy == "random":
         idx = rng.choice(len(ids), size=budget, replace=False)
         return ids[np.sort(idx)].tolist()
-    buf = np.empty((len(reps_t), FOLD_COLS))
     chosen = []
     for _ in range(budget):
         i = int(np.argmax(min_dist))  # argmax takes the lowest index, so id, on ties
         chosen.append(i)
-        _fold(reps_t, reps_t[:, i], min_dist, buf)
+        _fold(reps_t, reps_t[:, i], min_dist)
         min_dist[i] = -np.inf  # never picked twice, even among duplicates
     return ids[chosen].tolist()
 
@@ -493,11 +456,9 @@ class ActiveLearningLoop:
         if self._min_dist is None:
             self._min_dist = np.full(len(pool.ids), np.inf)
         new = np.flatnonzero((pool.labels >= 0) & (self._min_dist > -np.inf))
-        if len(new):
-            buf = np.empty((len(features_t), FOLD_COLS))
-            for r in new:
-                _fold(features_t, features_t[:, r], self._min_dist, buf)
-            self._min_dist[new] = -np.inf
+        for r in new:
+            _fold(features_t, features_t[:, r], self._min_dist)
+        self._min_dist[new] = -np.inf
         return self._min_dist
 
     def _select_phase(self, rngs):

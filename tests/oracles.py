@@ -149,23 +149,28 @@ def coarse_augment_batch_reference(X, k, delta, rng):
 
 
 def labeled_distances_whole(reps, labeled_reps):
-    """Each row's distance to its nearest labeled row, from the whole (n, L, d)
-    difference array."""
+    """Each row's distance to its nearest labeled row, from the whole
+    C-contiguous (d, L, n) difference array, its squares summed over axis 0:
+    one feature at a time (a transposed view would be summed pairwise along
+    its contiguous feature axis)."""
     L = np.atleast_2d(np.asarray(labeled_reps, dtype=float))
-    d2 = ((reps[:, None, :] - L[None, :, :]) ** 2).sum(axis=2)
-    return np.sqrt(d2.min(axis=1))
+    diff = np.ascontiguousarray(reps.T[:, None, :] - L.T[:, :, None])
+    d2 = (diff ** 2).sum(axis=0)
+    return np.sqrt(d2.min(axis=0))
 
 
 def coreset_select_whole(scores, budget, labeled_reps):
     """`baseline_select("coreset", ...)` with the labeled-set distances taken
-    from the whole (n, L, d) difference array."""
-    reps = scores.reps
-    min_dist = labeled_distances_whole(reps, labeled_reps)
+    from the whole difference array, and each pick's distances from the
+    C-contiguous (d, n) differences summed over axis 0."""
+    reps_t = np.ascontiguousarray(scores.reps.T)
+    min_dist = labeled_distances_whole(scores.reps, labeled_reps)
     chosen = []
     for _ in range(budget):
         i = int(np.argmax(min_dist))
         chosen.append(int(scores.ids[i]))
-        min_dist = np.minimum(min_dist, np.linalg.norm(reps - reps[i], axis=1))
+        dist = np.sqrt(((reps_t - reps_t[:, i:i + 1]) ** 2).sum(axis=0))
+        min_dist = np.minimum(min_dist, dist)
         min_dist[i] = -np.inf
     return chosen
 

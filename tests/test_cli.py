@@ -117,6 +117,24 @@ class TestRun:
         cfg = make_config(tmp_path, tmp_path / "absent.csv")
         assert main(["run", "--config", str(cfg)]) == 3
 
+    # a directory or an existing file where a file or a directory is read or
+    # made once raised IsADirectoryError or FileExistsError and exited 1
+    def test_directory_as_config_exits_3(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path)]) == 3
+        assert "data error" in capsys.readouterr().err
+
+    def test_directory_as_dataset_exits_3(self, tmp_path, capsys):
+        cfg = make_config(tmp_path, tmp_path)
+        assert main(["run", "--config", str(cfg)]) == 3
+        assert "data error" in capsys.readouterr().err
+
+    def test_out_naming_an_existing_file_exits_3(self, tmp_path, capsys):
+        cfg = make_config(tmp_path, make_dataset(tmp_path))
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "data error" in capsys.readouterr().err
+
     def test_non_finite_config_value(self, tmp_path, capsys):
         cfg = make_config(tmp_path, make_dataset(tmp_path))
         cfg.write_text(cfg.read_text().replace("epsilon = 0.1", "epsilon = nan"))

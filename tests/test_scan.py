@@ -248,31 +248,21 @@ def test_row_blocks_cover_the_pool_without_short_blocks(scan_rows):
         assert all(scan_rows <= k < 2 * scan_rows for k in sizes) or sizes == [n]
 
 
-def check_blocked_coreset(fold_cols):
+def test_blocked_coreset_matches_whole_pool():
     # the labeled set folded in one row at a time, as the loop carries it,
-    # against the whole (n, L, d) difference array
+    # against the whole (d, L, n) difference array
     rng = np.random.default_rng(5)
     n = 45
     scores = Scores(ids=np.arange(0, 3 * n, 3), in_total=np.zeros(n),
                     entropy=np.zeros(n), reps=rng.normal(size=(n, 4)))
     labeled = rng.normal(size=(6, 4))
     reps_t = np.ascontiguousarray(scores.reps.T)
-    min_dist, buf = np.full(n, np.inf), np.empty((4, fold_cols))
+    min_dist = np.full(n, np.inf)
     for row in labeled:
-        loop_mod._fold(reps_t, row, min_dist, buf)
+        loop_mod._fold(reps_t, row, min_dist)
     assert np.array_equal(min_dist, labeled_distances_whole(scores.reps, labeled))
     got = baseline_select("coreset", scores.ids, 10, rng, reps_t, min_dist)
     assert got == coreset_select_whole(scores, 10, labeled)
-
-
-def test_blocked_coreset_matches_whole_pool():
-    check_blocked_coreset(loop_mod.FOLD_COLS)
-
-
-def test_blocked_coreset_matches_whole_pool_across_fold_blocks(monkeypatch):
-    # 45 columns in blocks of 7: the walk crosses blocks and ends on a short one
-    monkeypatch.setattr(loop_mod, "FOLD_COLS", 7)
-    check_blocked_coreset(7)
 
 
 def coreset_loop(d, cycles=5):
@@ -302,8 +292,8 @@ def check_coreset_cycle(lp, t):
     assert np.array_equal(lp._min_dist, np.where(labeled, -np.inf, brute)), t
 
 
-# every branch of the pairwise order: in turn (< 8), 8 accumulators with and
-# without a tail (<= 128), and halving (> 128)
+# from one feature to 130: below 8 the fold's order is also the one
+# `np.linalg.norm` takes, from 8 up the two orders differ in the last bits
 WIDTHS = [1, 2, 3, 5, 8, 16, 17, 130]
 
 
@@ -323,27 +313,20 @@ def test_rows_labeled_outside_coreset_are_folded_in(d):
         lp.pool.annotate(lp.pool.unlabeled[[0, 3 + t]], lp.oracle)
 
 
-@pytest.mark.parametrize("d", [3, 17])
-def test_carried_coreset_distances_across_fold_blocks(d, monkeypatch):
-    # 7 columns a block: the fold crosses blocks, and its walk over the pool
-    # ends on a short block
-    monkeypatch.setattr(loop_mod, "FOLD_COLS", 7)
-    lp = coreset_loop(d)
-    assert len(lp.pool.ids) % 7
-    for t in range(lp.config.cycles):
-        check_coreset_cycle(lp, t)
-        lp.pool.annotate(lp.pool.unlabeled[[1]], lp.oracle)
-
-
-def test_pairwise_sum_matches_numpy_reduce_bit_for_bit():
-    # the fold's distances are np.linalg.norm's only while this holds: a numpy
-    # release that changes its summation order fails here
+def test_fold_sums_squares_one_feature_at_a_time_bit_for_bit():
+    # the oracles' distances are the fold's only while numpy sums axis 0 of a
+    # C-contiguous array one row at a time: a numpy release that changes
+    # that order fails here
     rng = np.random.default_rng(11)
     for d in range(1, 301):
-        x = rng.choice([-1.0, 1.0], size=(40, d)) * 10.0 ** rng.uniform(-9, 9, (40, d))
-        want = np.add.reduce(x, axis=1)
-        got = loop_mod._pairwise_sum(np.ascontiguousarray(x.T))
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), d
+        reps_t = rng.choice([-1.0, 1.0], size=(d, 40)) * 10.0 ** rng.uniform(-9, 9, (d, 40))
+        reps_t[:, 20:] = reps_t[:, :20]  # equal columns
+        row = rng.choice([-1.0, 1.0], size=d) * 10.0 ** rng.uniform(-9, 9, d)
+        min_dist = np.full(40, np.inf)
+        loop_mod._fold(reps_t, row, min_dist)
+        want = np.sqrt(((reps_t - row[:, None]) ** 2).sum(axis=0))
+        assert np.array_equal(min_dist.view(np.int64), want.view(np.int64)), d
+        assert np.array_equal(min_dist[20:], min_dist[:20]), d
 
 
 def test_entropy_and_accuracy_small_blocks_match_whole_pool_bit_for_bit(monkeypatch):
@@ -399,9 +382,11 @@ def test_scan_fails_with_the_blocks_exception_and_joins_its_workers(monkeypatch)
 
 def test_scan_peak_memory_at_40k_rows(monkeypatch):
     # the whole-pool scan peaks at about 328 MiB here: every (n * k_aug, 64)
-    # activation at once. The blocked scan holds the (n * k_aug, 16) coarse
-    # variants and one block's activations per worker, so the worker count is
-    # fixed: each further worker adds about 4 MiB.
+    # activation at once, and drawing every row's coarse variants before the
+    # walk still peaked at 26.4 MiB. Built per block, the pass holds the
+    # features, O(n * k_aug) draws and gaps, and one block's buffer and
+    # activations per worker, about 14 MiB; the worker count is fixed, as
+    # each further worker adds about 4.6 MiB.
     monkeypatch.setattr(loop_mod, "_scan_workers", lambda: 2)
     rng = np.random.default_rng(3)
     X = rng.uniform(0, 1, (40_000, 16))
@@ -414,7 +399,7 @@ def test_scan_peak_memory_at_40k_rows(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 45 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_scan_peak_memory_within_a_small_multiple_of_the_features(monkeypatch):
