@@ -18,10 +18,6 @@ TRANSFORM_NAMES = ("roll", "block_flip", "jitter")
 
 GRAD_NORM_FLOOR = 1e-12
 
-# values per chunk of a sup-norm check: `coarse_variants` takes its gaps, and
-# the pool scan's gap pass builds its variants, about this many at a time
-GAP_VALUES = 1 << 16
-
 
 class CoarseDraws(NamedTuple):
     """The integer draws of a coarse augmentation: the variant rows each
@@ -66,10 +62,9 @@ def coarse_variants(X, k, delta, draws, u, out, gap=None):
     `draws` holds the n * k variant rows' draws, counted from 0, and `u` the
     (len(draws.jitter), d) uniforms of the jitter rows, which are
     overwritten. When `gap`, an (n * k,) array, is given it receives each
-    variant's sup-norm distance from its source, taken over chunks of about
-    GAP_VALUES values so that no difference array of the variants' size is
-    made. Every row depends only on its own draws, so a row range built
-    alone equals the same rows of a whole build.
+    variant's sup-norm distance from its source. Every row depends only on
+    its own draws, so a row range built alone equals the same rows of a
+    whole build.
     """
     n, d = X.shape
     variants = out.reshape(n, k, d)
@@ -95,10 +90,7 @@ def coarse_variants(X, k, delta, draws, u, out, gap=None):
         out[rows] = u
 
     if gap is not None:
-        step = max(GAP_VALUES // (k * d), 1)
-        for s in range(0, n, step):
-            diff = variants[s:s + step] - X[s:s + step, None]
-            np.abs(diff, out=diff).max(axis=2, out=gap.reshape(n, k)[s:s + step])
+        np.abs(variants - X[:, None]).max(axis=2, out=gap.reshape(n, k))
     return variants
 
 

@@ -44,6 +44,8 @@ def _cmd_run(args):
         config = dataclasses.replace(config, strategy=args.strategy)
     dataset, test_data = _load_run_inputs(config)
     loop = ActiveLearningLoop(config, dataset, test_data=test_data)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)  # fails, if it must, before any training
     reports = loop.run()
     if args.out:
         write_reports(reports, args.out, config=config)
@@ -70,12 +72,17 @@ def _cmd_synth(args):
 def _cmd_ablate(args):
     base = load_config(args.config)
     dataset, test_data = _load_run_inputs(base)
+    # every variant's loop and output directory is made before any runs, so
+    # one that cannot be fails before any training
+    runs = []
     for name, overrides in ablation_variants(base.budget):
         config = dataclasses.replace(base, **overrides)
-        loop = ActiveLearningLoop(config, dataset, test_data=test_data)
+        runs.append((name, config, ActiveLearningLoop(config, dataset, test_data=test_data)))
+    for name, _, _ in runs:
+        os.makedirs(os.path.join(args.out, name), exist_ok=True)
+    for name, config, loop in runs:
         reports = loop.run()
-        out_dir = os.path.join(args.out, name)
-        write_reports(reports, out_dir, config=config)
+        write_reports(reports, os.path.join(args.out, name), config=config)
         print(f"{name:12s} final_accuracy={reports[-1].accuracy:.4f}")
     return 0
 

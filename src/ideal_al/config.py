@@ -1,10 +1,11 @@
 """Run configuration: defaults, validation, flat-file round trip.
 
 The config file format is flat `key = value` text, one key per line,
-`#` comments allowed. Unknown keys are hard errors. Each value is parsed
-as the type its `LoopConfig` field is annotated with; tuple-valued keys
-(weights, hidden_sizes) use comma separation. `none` is a value only of
-the keys whose default is None (dataset, test_dataset, m_cand, weights).
+`#` comments allowed. Unknown keys and a key set twice are hard errors.
+Each value is parsed as the type its `LoopConfig` field is annotated with;
+tuple-valued keys (weights, hidden_sizes) use comma separation. `none` is a
+value only of the keys whose default is None (dataset, test_dataset,
+m_cand, weights).
 """
 
 import dataclasses
@@ -114,7 +115,7 @@ def _parse_value(key, raw):
 
 def parse_config(text):
     """Parse flat key = value text into a validated LoopConfig."""
-    values = {}
+    values, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -124,6 +125,9 @@ def parse_config(text):
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _FIELDS:
             raise ConfigError(key, "unknown configuration key")
+        if key in lines:
+            raise ConfigError(key, f"set on line {lines[key]} and again on line {lineno}")
+        lines[key] = lineno
         values[key] = _parse_value(key, raw)
     return LoopConfig(**values).validate()
 

@@ -53,11 +53,13 @@ def _scan_workers():
         return os.cpu_count() or 1
 
 
-def _scan(n, block, workers=1, prepare=lambda s, e: (), size=None):
+def _scan(n, block, workers=1, prepare=lambda s, e: ()):
     """Run `block(s, e, *prepare(s, e))` for every block of
-    `_row_blocks(n, size or SCAN_ROWS)` on up to `workers` threads, never
-    more than SCAN_MAX_WORKERS nor more than one per two blocks, this one
-    among them, each taking the next block when it is free.
+    `_row_blocks(n, SCAN_ROWS)` on up to `workers` threads, never more than
+    SCAN_MAX_WORKERS nor more than one per two blocks, this one among them,
+    each taking the next block when it is free. Every pool-wide pass walks
+    these blocks, `_score_pool`'s gap pass and scoring pass alike, so a pass
+    holds one gap block or one scoring block per worker at a time.
 
     With fewer than two blocks a worker, a further thread gains little (the
     tail block can be nearly twice a block) and its malloc arena keeps its
@@ -73,7 +75,7 @@ def _scan(n, block, workers=1, prepare=lambda s, e: (), size=None):
     worker did not speed up a 20k-row entropy pass and slowed a 2k-row test
     evaluation from 2.2 to 3.0 ms.
     """
-    blocks = _row_blocks(n, size or SCAN_ROWS)
+    blocks = _row_blocks(n, SCAN_ROWS)
     todo, lock, failed = iter(blocks), threading.Lock(), threading.Event()
 
     def work():
@@ -349,15 +351,15 @@ class ActiveLearningLoop:
         the whole pool would draw it, then the VAT normals in row order:
 
         - the integer draws of every variant (`augment.coarse_draws`);
-        - a gap pass, `_scan`'s chunks of about `augment.GAP_VALUES`
-          values, each drawing its jitter rows' uniforms in row order as it
-          is taken, building its variants and keeping only their sup-norm
-          gaps, which name the rows that get the fallback jitter;
+        - a gap pass over `_scan`'s blocks, each drawing its jitter rows'
+          uniforms in row order as it is taken, building its variants and
+          keeping only their sup-norm gaps, which name the rows that get
+          the fallback jitter;
         - the fallback jitter, drawn at once and kept;
-        - the scan: each block, as it is taken, replays its jitter uniforms
-          from a copy of the stream made before the gap pass and draws its
-          VAT normals, so no score depends on the worker count or the
-          block size.
+        - the scan over the same blocks: each, as it is taken, replays its
+          jitter uniforms from a copy of the stream made before the gap
+          pass and draws its VAT normals, so no score depends on the worker
+          count or the block size.
 
         A block builds its rows, their coarse variants and their VAT probe
         rows in one buffer and traces it in one pass, each part in its own
@@ -387,8 +389,7 @@ class ActiveLearningLoop:
             augment.coarse_variants(X[s:e], k, cfg.delta, part, u,
                                     np.empty(((e - s) * k, d)), gap[s * k:e * k])
 
-        _scan(n, gap_block, workers, lambda s, e: take(rng, s, e),
-              size=max(augment.GAP_VALUES // (k * d), 1))
+        _scan(n, gap_block, workers, lambda s, e: take(rng, s, e))
         fallback = (gap <= cfg.delta).nonzero()[0]
         del gap
         extra = augment.coarse_fallback(fallback.size, d, cfg.delta, rng)

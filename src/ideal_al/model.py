@@ -120,12 +120,9 @@ class Classifier:
         acts = [a]
         last = self.n_layers - 1
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            if not split:
-                z = a @ W
-            else:
-                z = np.empty((len(a), W.shape[1]))
-                for s, e in zip((0, *split), (*split, len(a))):
-                    np.matmul(a[s:e], W, out=z[s:e])
+            z = np.empty((len(a), W.shape[1]))
+            for s, e in zip((0, *split), (*split, len(a))):
+                np.matmul(a[s:e], W, out=z[s:e])
             z += b
             a = _softmax_inplace(z) if i == last else np.maximum(z, 0.0, out=z)
             acts.append(a)

@@ -9,6 +9,7 @@ import pytest
 import ideal_al
 from ideal_al.cli import main
 from ideal_al.config import LoopConfig, load_config, save_config
+from ideal_al.loop import ActiveLearningLoop
 
 
 def make_dataset(tmp_path, name="train.csv", seed=0, per_class=40):
@@ -128,12 +129,23 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 3
         assert "data error" in capsys.readouterr().err
 
-    def test_out_naming_an_existing_file_exits_3(self, tmp_path, capsys):
+    def test_out_naming_an_existing_file_exits_3(self, tmp_path, capsys, monkeypatch):
+        # before any training
+        monkeypatch.setattr(ActiveLearningLoop, "_train_phase", never_train)
         cfg = make_config(tmp_path, make_dataset(tmp_path))
         out = tmp_path / "out"
         out.write_text("")
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
         assert "data error" in capsys.readouterr().err
+
+    def test_repeated_config_key_exits_2(self, tmp_path, capsys):
+        cfg = make_config(tmp_path, make_dataset(tmp_path))
+        cfg.write_text(cfg.read_text() + "budget = 3\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config key 'budget'" in err and "again on line" in err
+        assert not out.exists()
 
     def test_non_finite_config_value(self, tmp_path, capsys):
         cfg = make_config(tmp_path, make_dataset(tmp_path))
@@ -235,6 +247,10 @@ class TestRun:
         assert not (out / "metrics.jsonl").exists()
 
 
+def never_train(loop, rng):
+    pytest.fail("a training phase ran")
+
+
 def write_csv(tmp_path, labels):
     path = tmp_path / "pool.csv"
     rows = [f"{i},{c},{i / len(labels)},{(i * 7 % 5) / 5}" for i, c in enumerate(labels)]
@@ -280,6 +296,25 @@ class TestAblateAndReport:
         stdout, err = capsys.readouterr()
         assert "final_accuracy" not in stdout
         assert "3 cycles x budget 3" in err
+        assert not list(tmp_path.rglob("metrics.jsonl"))
+
+    @pytest.mark.parametrize("blocked", ["out", "variant"])
+    def test_ablate_out_that_cannot_be_made_exits_3_before_training(
+            self, blocked, tmp_path, capsys, monkeypatch):
+        # `--out` itself, or a later variant's directory, is an existing file
+        monkeypatch.setattr(ActiveLearningLoop, "_train_phase", never_train)
+        cfg = make_config(tmp_path, make_dataset(tmp_path))
+        out = tmp_path / "a"
+        if blocked == "out":
+            out.write_text("")
+        else:
+            out.mkdir()
+            (out / "no_fine").write_text("")
+        capsys.readouterr()
+        assert main(["ablate", "--config", str(cfg), "--out", str(out)]) == 3
+        stdout, err = capsys.readouterr()
+        assert "final_accuracy" not in stdout
+        assert "data error" in err
         assert not list(tmp_path.rglob("metrics.jsonl"))
 
     def test_report_empty_dir(self, tmp_path):

@@ -321,6 +321,10 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match=f"'{field}'"):
                 parse_config(text)
 
+    def test_repeated_key_rejected_naming_both_lines(self):
+        with pytest.raises(ConfigError, match="'budget': set on line 1 and again on line 3"):
+            parse_config("budget = 20\n# budget = 7\nbudget = 5\n")
+
     def test_comments_and_blanks(self):
         config = parse_config("# comment\n\nbudget = 9  # inline\n")
         assert config.budget == 9

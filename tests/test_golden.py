@@ -7,8 +7,8 @@ differs from id order, one with 16 features, the benchmark's width,
 where numpy's pairwise sum of a row's squares runs its 8 accumulators
 rather than the plain order it takes below 8 features, and one of 1,140
 rows and 64 features, whose pool of more than 1,100 unlabeled rows spans
-two scan blocks and two sup-norm chunks of the coarse draw, so that the
-order of the draws across blocks is pinned too. Each run's
+two scan blocks, for the coarse draw's gap pass and for the scoring pass,
+so that the order of the draws across blocks is pinned too. Each run's
 fingerprint is its initial labeled ids, per cycle the selected ids and the
 exact `repr` of `accuracy` and `mean_in_total`, and the exact `repr` of the
 final model's summed absolute weights. It is compared with the committed
@@ -116,7 +116,7 @@ def test_fixture_covers_every_knob():
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_trace_matches_golden(current, golden, dataset, variant):
     key = f"{dataset}/{variant}"
-    assert current[key] == golden[key]
+    assert current[key] == golden[key], moved_fields(golden[key], current[key])
 
 
 def moved_fields(old, new):

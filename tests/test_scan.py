@@ -171,21 +171,21 @@ def test_fused_blocks_match_four_pass_reference_at_benchmark_width(
 @pytest.mark.parametrize("workers", [1, 3])
 def test_gap_pass_over_several_chunks_matches_whole_pool_bit_for_bit(
         workers, delta, monkeypatch):
-    # chunks of 3 rows for the gap pass and blocks of 7 for the scan, so the
-    # jitter uniforms are drawn in 12 chunks and replayed in 5 blocks; at
-    # delta 1.0 most rolled and flipped variants of these [0, 1] rows stay
-    # within delta and take the fallback jitter, which the blocks add back
+    # blocks of 7 rows for the gap pass and the scan alike, so the jitter
+    # uniforms are drawn in 5 blocks and replayed in the same 5; at delta 1.0
+    # most rolled and flipped variants of these [0, 1] rows stay within delta
+    # and take the fallback jitter, which the blocks add back
     lp = trained_loop(delta=delta)
-    k, d = lp.config.k_aug, lp.dataset.dim
-    monkeypatch.setattr(augment, "GAP_VALUES", 3 * k * d)
     monkeypatch.setattr(loop_mod, "SCAN_ROWS", 7)
     monkeypatch.setattr(loop_mod, "_scan_workers", lambda: workers)
-    chunks, fallback = [], []
+    Xu = lp.pool.features[lp.pool.labels < 0]
+    blocks = loop_mod._row_blocks(len(Xu), 7)
+    calls, fallback = [], []
     variants, extra = augment.coarse_variants, augment.coarse_fallback
 
     def counted_variants(X, *rest):
-        if len(rest) == 6:  # given a gap array: a gap-pass chunk
-            chunks.append(len(X))
+        if len(rest) == 6:  # given a gap array: a gap-pass block
+            calls.append(X.copy())
         return variants(X, *rest)
 
     def counted_fallback(m, *rest):
@@ -195,7 +195,11 @@ def test_gap_pass_over_several_chunks_matches_whole_pool_bit_for_bit(
     monkeypatch.setattr(augment, "coarse_variants", counted_variants)
     monkeypatch.setattr(augment, "coarse_fallback", counted_fallback)
     blocked, whole, rng_blocked, rng_whole = both_scans(lp)
-    assert chunks == [3] * 12 + [36]  # then the oracle's whole-pool call
+    *gap_blocks, whole_pool = calls  # the oracle's whole-pool call comes last
+    assert len(blocks) == 5 and np.array_equal(whole_pool, Xu)
+    # one gap-pass call per scan block, whichever worker took it
+    assert sorted((s, e) for c in gap_blocks for s, e in blocks
+                  if np.array_equal(c, Xu[s:e])) == blocks
     assert (fallback[0] > 20) == (delta == 1.0)
     for field in ("ids", "in_total", "entropy", "reps"):
         assert np.array_equal(getattr(blocked, field), getattr(whole, field)), field
@@ -406,7 +410,7 @@ def test_scan_peak_memory_within_a_small_multiple_of_the_features(monkeypatch):
     # 20k x 128: drawing every row's coarse variants before the walk held an
     # (n * k_aug, 128) array and its transforms' temporaries, 5.0x the
     # features. Built per block, the pass holds the unlabeled feature rows,
-    # O(n * k_aug) draws and gaps, one gap chunk and two workers' blocks.
+    # O(n * k_aug) draws and gaps, and two workers' gap or scoring blocks.
     monkeypatch.setattr(loop_mod, "_scan_workers", lambda: 2)
     rng = np.random.default_rng(3)
     X = rng.uniform(0, 1, (20_000, 128))
