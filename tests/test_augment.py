@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ideal_al import augment
 from ideal_al.augment import coarse_augment_batch, vat_perturbation_batch, vat_probe_rows
 from ideal_al.errors import UsageError
 from ideal_al.model import Classifier
@@ -85,20 +86,39 @@ class TestCoarseAugmentBatch:
             assert rng.bit_generator.state == ref_rng.bit_generator.state, (d, seed)
 
 
-    def test_sup_norm_blocks_and_callers_buffer(self):
-        # the variants built in the caller's buffer, against the reference
-        # and its stream
+    @pytest.mark.parametrize("block_rows", [1, 20, 1 << 16])
+    def test_sup_norm_blocks_and_callers_buffer(self, block_rows):
+        # the variants built in the caller's buffer, and their sup-norm gaps
+        # taken one row, a few rows and all rows at a time, as the pool
+        # scan's gap pass does over its blocks, against the reference and
+        # its stream
         for seed in range(60):
             k, d = (1, 2, 3)[seed % 3], (1, 4, 5)[seed // 3 % 3]
             data = np.random.default_rng([seed, 7])
             X = data.uniform(-1, 1, (int(data.integers(1, 30)), d))
             X[data.random(len(X)) < 0.3] = 0.0
-            out = np.full((len(X) * k, d), np.nan)
+            n = len(X)
+            out = np.full((n * k, d), np.nan)
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = coarse_augment_batch(X, k, 0.05, rng, out=out)
-            assert np.shares_memory(got, out) and got.shape == (len(X), k, d)
-            assert np.array_equal(got, coarse_augment_batch_reference(X, k, 0.05, ref_rng))
+            assert np.shares_memory(got, out) and got.shape == (n, k, d)
+            want = coarse_augment_batch_reference(X, k, 0.05, ref_rng)
+            assert np.array_equal(got, want)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+            blocks_rng = np.random.default_rng(seed)
+            draws = augment.coarse_draws(n * k, d, blocks_rng)
+            out, gap = np.full((n * k, d), np.nan), np.full(n * k, np.nan)
+            for s in range(0, n, block_rows):
+                e = min(s + block_rows, n)
+                part = draws.rows(s * k, e * k)
+                u = blocks_rng.uniform(-1.0, 1.0, size=(part.jitter.size, d))
+                augment.coarse_variants(X[s:e], k, 0.05, part, u,
+                                        out[s * k:e * k], gap[s * k:e * k])
+            rows = (gap <= 0.05).nonzero()[0]
+            out[rows] += augment.coarse_fallback(rows.size, d, 0.05, blocks_rng)
+            assert np.array_equal(out.reshape(n, k, d), want), (block_rows, seed)
+            assert blocks_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def normals(X, seed):
